@@ -38,7 +38,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from benchmarks.common import write_json_report
-from repro.api import build_index
+from repro.engine import build_index
 from repro.evaluation import measure_snapshot_roundtrip
 from repro.persistence import load_snapshot, save_rebuild_snapshot
 from repro.workloads import generate_dataset, generate_knn_workload, generate_range_workload

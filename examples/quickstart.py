@@ -32,9 +32,9 @@ from repro import (
     SpatialEngine,
     generate_dataset,
     generate_range_workload,
-    run_range_workload,
     workload_summary,
 )
+from repro.evaluation import measure_range_queries
 
 
 def main() -> None:
@@ -81,7 +81,7 @@ def main() -> None:
     plans = [RangeQuery(query) for query in workload.queries]
     for engine in (base, wazi):
         engine.execute_many(plans)                 # warm-up + demonstration
-        stats = run_range_workload(engine, workload.queries)
+        stats = measure_range_queries(engine, workload.queries)
         summary = workload_summary(stats)
         print(
             f"{summary['index']:>5s}: {summary['mean_micros']:8.1f} us/query, "

@@ -34,18 +34,14 @@ from repro.analysis import (
     WorkloadDriftDetector,
     advise_layout,
 )
-from repro.api import (
+from repro.engine import (
+    INDEX_NAMES,
+    SpatialEngine,
+    as_engine,
     build_index,
     build_or_load_index,
-    compare_indexes,
-    run_join_workload,
-    run_knn_workload,
-    run_point_workload,
-    run_range_workload,
-    run_snapshot_roundtrip,
-    workload_summary,
 )
-from repro.engine import INDEX_NAMES, SpatialEngine, as_engine
+from repro.evaluation import compare_indexes, workload_summary
 from repro.query import (
     JoinQuery,
     KnnQuery,
@@ -56,7 +52,6 @@ from repro.query import (
 )
 from repro.results import ResultSet
 from repro.persistence import (
-    IndexLoadError,
     PersistenceError,
     SnapshotError,
     load_snapshot,
@@ -130,17 +125,11 @@ __all__ = [
     "build_index",
     "build_or_load_index",
     "compare_indexes",
-    "run_range_workload",
-    "run_point_workload",
-    "run_knn_workload",
-    "run_join_workload",
-    "run_snapshot_roundtrip",
     "save_snapshot",
     "load_snapshot",
     "save_rebuild_snapshot",
     "PersistenceError",
     "SnapshotError",
-    "IndexLoadError",
     "generate_dataset",
     "generate_range_workload",
     "uniform_range_workload",

@@ -9,8 +9,6 @@ paper on top of the generic Z-index structure from :mod:`repro.zindex`:
 * :mod:`repro.core.construction` — the greedy construction of Section 4.3
   (Algorithm 3): sample candidate split points per node, evaluate the cost
   against learned density estimates, keep the best split and ordering.
-* :mod:`repro.core.skipping` — the look-ahead pointer mechanism of
-  Section 5 (Algorithm 4), re-exported from the leaf-list layer.
 * :mod:`repro.core.wazi` — the :class:`WaZI` index itself and its ablation
   variants (``Base+SK`` and ``WaZI−SK`` from Section 6.9).
 """

@@ -261,7 +261,7 @@ def check_error_taxonomy(ctx: ModuleContext) -> Iterator[Finding]:
                     node, "error-taxonomy",
                     f"{where}() raises bare {name} on a load path; raise a "
                     "repro.persistence.errors class (SnapshotFormatError, "
-                    "DatasetFormatError, ...) so serving fallbacks can catch "
+                    "SnapshotVersionError, ...) so serving fallbacks can catch "
                     "PersistenceError",
                 )
 

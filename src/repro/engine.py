@@ -36,9 +36,9 @@ makes "workload-aware" a runtime property instead of a build flag:
   boxers), and :meth:`SpatialEngine.save` persists the observed history
   alongside the structure so :meth:`SpatialEngine.open` restores both.
 
-The engine also keeps the free-function era working: ``build_index`` and
-``build_or_load_index`` live here as the canonical implementations and are
-re-exported by :mod:`repro.api` as deprecation shims.
+For a bare index without the facade, :func:`build_index` and
+:func:`build_or_load_index` are the free-function forms of
+:meth:`SpatialEngine.build` and :meth:`SpatialEngine.open`.
 """
 
 # repro-lint: public-api
@@ -316,7 +316,6 @@ def build_or_load_index(
     leaf_capacity: int = 64,
     seed: Optional[int] = 0,
     rebuild: bool = False,
-    _factory=None,
     **kwargs,
 ) -> SpatialIndex:
     """Build-once / serve-many: load a snapshot if present, else build and save.
@@ -348,8 +347,7 @@ def build_or_load_index(
                 return load_snapshot(path)
             except SnapshotError:
                 pass  # stale/corrupt snapshot: rebuild and overwrite below
-    factory = build_index if _factory is None else _factory
-    index = factory(
+    index = build_index(
         name, points, workload, leaf_capacity=leaf_capacity, seed=seed, **kwargs
     )
     path.parent.mkdir(parents=True, exist_ok=True)
@@ -1209,6 +1207,7 @@ class SpatialEngine:
         optimises.  Anything else falls back to one :meth:`execute` per
         plan.  Results come back in workload order either way.
         """
+        self._check_limit(limit)
         if self.metrics is None:
             return self._execute_many(queries, count_only=count_only, limit=limit)
         queries = list(queries)
@@ -1238,7 +1237,6 @@ class SpatialEngine:
         count_only: bool = False,
         limit: Optional[int] = None,
     ) -> List:
-        self._check_limit(limit)
         queries = list(queries)
         if not queries:
             return []

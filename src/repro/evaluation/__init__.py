@@ -18,6 +18,7 @@ from repro.evaluation.runner import (
     ComparisonResult,
     ComparisonRunner,
     IndexFactory,
+    compare_indexes,
     measure_build,
     measure_join_workload,
     measure_knn_queries,
@@ -26,7 +27,12 @@ from repro.evaluation.runner import (
     measure_snapshot_roundtrip,
 )
 from repro.evaluation.cost_redemption import cost_redemption
-from repro.evaluation.reporting import format_table, index_properties_table, percent_improvement
+from repro.evaluation.reporting import (
+    format_table,
+    index_properties_table,
+    percent_improvement,
+    workload_summary,
+)
 
 __all__ = [
     "CostCounters",
@@ -35,6 +41,7 @@ __all__ = [
     "ComparisonResult",
     "ComparisonRunner",
     "IndexFactory",
+    "compare_indexes",
     "measure_build",
     "measure_join_workload",
     "measure_knn_queries",
@@ -45,4 +52,5 @@ __all__ = [
     "format_table",
     "index_properties_table",
     "percent_improvement",
+    "workload_summary",
 ]

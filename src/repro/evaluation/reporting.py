@@ -10,6 +10,8 @@ from __future__ import annotations
 
 from typing import Dict, List, Mapping, Sequence
 
+from repro.evaluation.metrics import QueryStats
+
 
 def format_table(
     headers: Sequence[str],
@@ -94,3 +96,46 @@ def improvement_table(
     for name, value in values.items():
         rows.append([name, value, percent_improvement(baseline_value, value)])
     return format_table(headers, rows, title=title)
+
+
+def workload_summary(stats) -> Dict[str, float]:
+    """A compact dictionary summary of one measured workload.
+
+    Accepts any :class:`~repro.evaluation.metrics.QueryStats` — range and
+    point workloads, kNN workloads (``measure_knn_queries`` records ``k``
+    in :attr:`QueryStats.extra`), join workloads (``measure_join_workload``
+    records pair counts and selectivity) — as well as the plain
+    measurement dict of
+    :func:`~repro.evaluation.runner.measure_snapshot_roundtrip`.  Extra
+    workload-specific scalars are merged into the summary verbatim, so the
+    one helper covers every scenario the evaluation harness measures.
+    """
+    if isinstance(stats, Mapping):
+        # measure_snapshot_roundtrip returns a flat measurement dict.
+        summary = {"kind": "snapshot"}
+        summary.update(stats)
+        return summary
+    if not isinstance(stats, QueryStats):
+        raise TypeError(
+            f"workload_summary expects QueryStats or a snapshot measurement "
+            f"dict, got {type(stats).__name__}"
+        )
+    extra = dict(stats.extra)
+    if "k" in extra:
+        kind = "knn"
+    elif "num_pairs" in extra:
+        kind = "join"
+    else:
+        kind = "queries"
+    summary = {
+        "kind": kind,
+        "index": stats.index_name,
+        "queries": stats.num_queries,
+        "mean_micros": stats.mean_micros,
+        "bbs_checked_per_query": stats.per_query("bbs_checked"),
+        "pages_scanned_per_query": stats.per_query("pages_scanned"),
+        "points_filtered_per_query": stats.per_query("points_filtered"),
+        "excess_points_per_query": stats.per_query("excess_points"),
+    }
+    summary.update(extra)
+    return summary

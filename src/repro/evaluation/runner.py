@@ -16,7 +16,7 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Dict, List, Optional, Sequence, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.evaluation.metrics import CostCounters, PhaseTimer, QueryStats
 from repro.geometry import Point, Rect
@@ -352,6 +352,78 @@ class ComparisonRunner:
     def run_dict(self, **kwargs) -> Dict[str, ComparisonResult]:
         """Like :meth:`run` but keyed by index name."""
         return {result.index_name: result for result in self.run(**kwargs)}
+
+
+def compare_indexes(
+    names: Sequence[str],
+    points: Sequence[Point],
+    workload: Sequence[Rect],
+    *,
+    point_queries: Sequence[Point] = (),
+    leaf_capacity: int = 64,
+    seed: int = 0,
+    knn_queries: Sequence[Point] = (),
+    knn_k: int = 10,
+    repeats: int = 1,
+    batch_ranges: bool = False,
+    batch_knn: bool = False,
+    snapshot_dir: Optional[Union[str, Path]] = None,
+    index_kwargs: Optional[Mapping[str, Mapping[str, object]]] = None,
+    **build_kwargs,
+) -> Dict[str, ComparisonResult]:
+    """Build and measure several indexes on the same data and workload.
+
+    Every index is built through :meth:`SpatialEngine.build`: keyword
+    arguments in ``build_kwargs`` are forwarded to *every* index
+    constructor, while ``index_kwargs`` maps an index name to options for
+    that index only (per-index options win over shared ones).  For
+    example::
+
+        compare_indexes(
+            ["wazi", "base"], points, workload,
+            max_depth=16,                            # applies to both
+            index_kwargs={"wazi": {"num_candidates": 8}},
+        )
+
+    The remaining keyword arguments are forwarded to
+    :meth:`ComparisonRunner.run`: ``repeats`` and ``batch_ranges`` for the
+    range scenario, ``knn_queries``/``knn_k``/``batch_knn`` for the kNN
+    scenario, and ``snapshot_dir`` for the snapshot save/load scenario
+    (measurements land in :attr:`ComparisonResult.extra`).
+
+    Returns a mapping from index name to :class:`ComparisonResult`.
+    """
+    from repro.engine import SpatialEngine  # lazily, as in _as_engine
+
+    per_index = {name: dict(options) for name, options in (index_kwargs or {}).items()}
+    unknown = set(per_index) - set(names)
+    if unknown:
+        raise ValueError(
+            f"index_kwargs given for indexes not being compared: {sorted(unknown)}"
+        )
+
+    def factory_for(name: str) -> IndexFactory:
+        options = {**build_kwargs, **per_index.get(name, {})}
+
+        def factory():
+            return SpatialEngine.build(
+                name, points, workload,
+                leaf_capacity=leaf_capacity, seed=seed, **options,
+            )
+
+        return factory
+
+    runner = ComparisonRunner({name: factory_for(name) for name in names})
+    return runner.run_dict(
+        range_queries=list(workload),
+        point_queries=list(point_queries),
+        knn_queries=list(knn_queries),
+        knn_k=knn_k,
+        repeats=repeats,
+        batch_ranges=batch_ranges,
+        batch_knn=batch_knn,
+        snapshot_dir=snapshot_dir,
+    )
 
 
 def _safe_filename(name: str) -> str:

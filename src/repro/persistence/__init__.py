@@ -6,9 +6,7 @@ offline ... and deployed for an extended amount of time") and ships it to
 query servers.  This package provides the persistence formats for that
 workflow, from most to least durable:
 
-* **datasets and workloads** — compact JSON
-  (:mod:`~repro.persistence.json_codecs`: portable, diffable, easy to
-  inspect) or binary coordinate columns
+* **datasets and workloads** — binary coordinate columns
   (:mod:`~repro.persistence.arrays`: milliseconds to load at millions of
   points).  Rebuilding from these is deterministic given the construction
   seed and survives any library version.
@@ -18,10 +16,6 @@ workflow, from most to least durable:
   O(n log n) construction entirely.  :func:`save_rebuild_snapshot` extends
   the same container to the rest of the index zoo by persisting the
   dataset plus build recipe.
-* **pickles** — :func:`save_index` / :func:`load_index` for same-version
-  convenience, now wrapped in a versioned envelope so stale pickles fail
-  with a clear "rebuild from the dataset" error instead of an opaque
-  ``AttributeError``.
 
 See ``docs/PERSISTENCE.md`` for the container layout, manifest fields and
 format-version compatibility rules.
@@ -47,23 +41,10 @@ from repro.persistence.container import (
     write_container,
 )
 from repro.persistence.errors import (
-    DatasetFormatError,
-    IndexLoadError,
     PersistenceError,
     SnapshotError,
     SnapshotFormatError,
     SnapshotVersionError,
-)
-from repro.persistence.json_codecs import (
-    load_points,
-    load_queries,
-    save_points,
-    save_queries,
-)
-from repro.persistence.pickle_codecs import (
-    PICKLE_FORMAT_VERSION,
-    load_index,
-    save_index,
 )
 from repro.persistence.snapshot import (
     KIND_REBUILD,
@@ -83,14 +64,11 @@ from repro.persistence.snapshot import (
 
 __all__ = [
     "CONTAINER_FORMAT",
-    "DatasetFormatError",
-    "IndexLoadError",
     "KIND_REBUILD",
     "KIND_WORKLOAD",
     "KIND_ZINDEX",
     "MEMBER_ALIGNMENT",
     "PersistenceError",
-    "PICKLE_FORMAT_VERSION",
     "SNAPSHOT_FORMAT_VERSION",
     "SnapshotError",
     "SnapshotFormatError",
@@ -98,12 +76,9 @@ __all__ = [
     "array_member_offsets",
     "dataset_fingerprint",
     "extract_array_members",
-    "load_index",
     "map_container",
-    "load_points",
     "load_points_binary",
     "load_points_columns",
-    "load_queries",
     "load_queries_binary",
     "load_snapshot",
     "load_snapshot_with_history",
@@ -113,10 +88,7 @@ __all__ = [
     "read_manifest",
     "rects_from_array",
     "rects_to_array",
-    "save_index",
-    "save_points",
     "save_points_binary",
-    "save_queries",
     "save_queries_binary",
     "save_rebuild_snapshot",
     "save_snapshot",

@@ -1,9 +1,8 @@
 """NumPy-backed binary codecs for datasets and range-query workloads.
 
-The binary twin of :mod:`repro.persistence.json_codecs`: coordinate columns
-and query rectangles are stored as flat float64 arrays inside the snapshot
-container, so a million-point dataset loads in milliseconds instead of
-parsing megabytes of JSON.  Loading boxes the columns back into
+Coordinate columns and query rectangles are stored as flat float64 arrays
+inside the snapshot container, so a million-point dataset loads in
+milliseconds.  Loading boxes the columns back into
 :class:`~repro.geometry.Point` / :class:`~repro.geometry.Rect` objects
 through :func:`repro.geometry.points_from_arrays` — the bulk path every
 index's constructor can consume directly.

@@ -161,7 +161,7 @@ def read_manifest(path: PathLike) -> Dict:
 
     The cheap probe for callers that need to know *what* a snapshot stores
     (kind, index name, build recipe) before paying for the array members —
-    e.g. :func:`repro.api.build_or_load_index` checking that an existing
+    e.g. :func:`repro.engine.build_or_load_index` checking that an existing
     file actually matches the requested index.  Same
     :class:`SnapshotFormatError` behaviour as :func:`read_container`.
     """

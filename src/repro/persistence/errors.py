@@ -14,15 +14,6 @@ class PersistenceError(Exception):
     """Base class for every error raised by :mod:`repro.persistence`."""
 
 
-class DatasetFormatError(PersistenceError, ValueError):
-    """A persisted dataset/workload file is corrupt or of the wrong kind.
-
-    Subclasses :class:`ValueError` as well, because the JSON codecs raised
-    bare ``ValueError`` for years — existing callers keep working while new
-    serving code can rely on one ``except PersistenceError`` fallback.
-    """
-
-
 class SnapshotError(PersistenceError):
     """Base class for snapshot-container failures."""
 
@@ -39,12 +30,3 @@ class SnapshotVersionError(SnapshotError):
     the snapshot from the persisted dataset.
     """
 
-
-class IndexLoadError(PersistenceError):
-    """A pickled index could not be restored by this library version.
-
-    The remedy is always the same and is spelled out in the message:
-    rebuild the index from the persisted dataset and workload (which are
-    stored in stable formats) instead of shipping pickles across library
-    versions.
-    """

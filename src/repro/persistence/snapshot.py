@@ -16,7 +16,7 @@ module is that workflow's persistence layer:
 * :func:`save_rebuild_snapshot` covers the rest of the index zoo: it
   persists the dataset columns plus the build recipe (index name, workload
   rectangles, parameters), and :func:`load_snapshot` replays the recipe
-  through :func:`repro.api.build_index` — deterministic given the seed,
+  through :func:`repro.engine.build_index` — deterministic given the seed,
   and still free of per-point JSON overhead.
 
 Format-version negotiation is strict and friendly: snapshots written by a
@@ -99,7 +99,7 @@ def dataset_fingerprint(xs: np.ndarray, ys: np.ndarray) -> str:
     """Cheap, order-insensitive fingerprint of a coordinate dataset.
 
     Recorded in snapshot manifests and compared by
-    :func:`repro.api.build_or_load_index` so a snapshot saved from a
+    :func:`repro.engine.build_or_load_index` so a snapshot saved from a
     *different* dataset of the same size is rebuilt instead of silently
     served.  Each (x, y) pair is hashed through a nonlinear 64-bit mix and
     the hashes summed, so any permutation of the same multiset of points
@@ -216,7 +216,7 @@ def save_snapshot(
     ``build_request`` is an optional JSON-serialisable record of the build
     arguments that produced the index (seed, workload fingerprint, extra
     kwargs).  The index structure itself does not retain them, so callers
-    that want :func:`repro.api.build_or_load_index` to verify a later
+    that want :func:`repro.engine.build_or_load_index` to verify a later
     request against this snapshot must supply them here; the helper does.
 
     ``workload_history`` is an optional :class:`~repro.workloads.Workload`
@@ -283,7 +283,7 @@ def save_rebuild_snapshot(
 ) -> Dict:
     """Persist a dataset plus the recipe to rebuild any index from the zoo.
 
-    ``name`` and the keyword parameters mirror :func:`repro.api.build_index`;
+    ``name`` and the keyword parameters mirror :func:`repro.engine.build_index`;
     extra ``kwargs`` must be JSON-serialisable (they are stored in the
     manifest and replayed on load).  Loading rebuilds deterministically
     given the stored seed, so round-tripped indexes answer queries exactly
@@ -351,7 +351,7 @@ def load_snapshot(path: PathLike, *, mmap: bool = False, validate: bool = True):
 
     Dispatches on the manifest ``kind``: structural Z-index snapshots are
     rematerialised in O(n) without re-running construction; rebuild-recipe
-    snapshots replay :func:`repro.api.build_index` on the stored columns.
+    snapshots replay :func:`repro.engine.build_index` on the stored columns.
     Raises :class:`SnapshotVersionError` / :class:`SnapshotFormatError`
     (both :class:`SnapshotError`) instead of ever surfacing a codec
     internal error.  Any embedded workload history is ignored; use
@@ -492,16 +492,7 @@ def _load_zindex(
 
 
 def _load_rebuild(path: PathLike, manifest: Dict, arrays: Dict[str, np.ndarray]):
-    # Imported lazily: repro.api itself imports this package.  The replay
-    # resolves build_index through repro.api's namespace so that tests
-    # monkeypatching the shim still intercept it — but when the shim is
-    # unpatched, the canonical engine implementation is called instead: a
-    # snapshot load is not a legacy call site and must not warn.
-    import repro.api as _api
-
-    build_index = _api.build_index
-    if build_index is getattr(_api, "_BUILD_INDEX_SHIM", None):
-        from repro.engine import build_index
+    from repro.engine import build_index  # lazily: repro.engine imports this package
 
     build = manifest.get("build")
     if not isinstance(build, dict) or "name" not in build:

@@ -479,6 +479,8 @@ class _Handler(BaseHTTPRequestHandler):
             length = int(self.headers.get("Content-Length", 0) or 0)
         except ValueError as exc:
             raise BadRequestError("invalid Content-Length header") from exc
+        if length < 0:
+            raise BadRequestError("negative Content-Length header")
         raw = self.rfile.read(length) if length else b""
         if not raw:
             return {}

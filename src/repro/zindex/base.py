@@ -166,7 +166,6 @@ class ZIndex(SpatialIndex):
         self._flat_starts_list: Optional[List[int]] = None
         self._mask_a: Optional[np.ndarray] = None
         self._mask_b: Optional[np.ndarray] = None
-        self._stale_scan_budget = 0
         self._has_nonmonotone_ordering = False
         self._build()
 
@@ -276,12 +275,6 @@ class ZIndex(SpatialIndex):
     # ------------------------------------------------------------------
     # flat scan cache
     # ------------------------------------------------------------------
-    #: Number of range queries served through the per-page fallback after a
-    #: mutation before the flat cache is rebuilt.  Keeps alternating
-    #: insert/query workloads from paying an O(N) rebuild per query while
-    #: query bursts still amortise one rebuild.
-    _STALE_SCAN_BUDGET = 8
-
     #: Monotone counter identifying the current flat-column generation.
     #: Result-set boxers compare it (instead of holding the arrays) to
     #: decide whether the shared object cache still matches their rows.
@@ -294,7 +287,7 @@ class ZIndex(SpatialIndex):
     #: working.
     _store = None
 
-    def _invalidate_flat(self, stale_budget: int = 0) -> None:
+    def _invalidate_flat(self) -> None:
         self._flat_generation += 1
         store = self._store
         if store is not None:
@@ -311,7 +304,6 @@ class ZIndex(SpatialIndex):
         self._flat_points = None
         self._mask_a = None
         self._mask_b = None
-        self._stale_scan_budget = stale_budget
 
     def _flat_columns(self):
         """``(flat_x, flat_y, starts)`` — concatenated page columns in curve order.
@@ -554,9 +546,6 @@ class ZIndex(SpatialIndex):
         """
         if self.root is None:
             return 0
-        if self._flat_starts is None and self._stale_scan_budget > 0:
-            # Recently mutated: reuse the stale-budget per-page scan.
-            return self.range_query(query).count()
         self._prime_query_caches()
         return self._count_pages(self._project(query)[2], query)
 
@@ -564,11 +553,6 @@ class ZIndex(SpatialIndex):
         """Count-only range workload on the columnar engine (no boxing)."""
         if self.root is None:
             return [0 for _ in queries]
-        if self._flat_starts is None and self._stale_scan_budget > 0:
-            # Recently mutated: count per query so each goes through the
-            # budget-honouring per-page scan instead of forcing the O(N)
-            # flat rebuild the budget exists to defer.
-            return [self.range_count(query) for query in queries]
         self._prime_query_caches()
         counters = self.counters
         project = self._project
@@ -637,12 +621,6 @@ class ZIndex(SpatialIndex):
         require_finite_center(center)
         if k <= 0 or self.root is None or len(self) == 0:
             return ResultSet.empty()
-        if self._flat_starts is None and self._stale_scan_budget > 0:
-            # Recently mutated: fall back to the scalar decomposition, whose
-            # range queries honour the stale-scan budget — mixed insert/kNN
-            # workloads keep the per-page scan instead of paying an O(N)
-            # flat-cache rebuild per probe (mirrors range_query).
-            return SpatialIndex.knn(self, center, k, initial_radius)
         self._prime_query_caches()
         radius = initial_radius if initial_radius and initial_radius > 0 else self._default_radius()
         return self._knn_columnar(center, min(k, len(self)), radius)
@@ -921,13 +899,6 @@ class ZIndex(SpatialIndex):
         counters = self.counters
         if not indices:
             return ResultSet.empty()
-        if self._flat_starts is None and self._stale_scan_budget > 0:
-            # Recently mutated: a handful of queries go through the per-page
-            # path rather than paying an O(N) flat-cache rebuild each —
-            # alternating insert/query workloads never rebuild, while query
-            # bursts rebuild once after the budget runs out.
-            self._stale_scan_budget -= 1
-            return ResultSet.from_points(self._scan_pages_direct(indices, query), own=True)
         self._ensure_flat()
         lo, hi, total = self._flat_span(indices)
         counters.pages_scanned += len(indices)
@@ -969,25 +940,6 @@ class ZIndex(SpatialIndex):
             total = int((starts[idx + 1] - starts[idx]).sum())
         return lo, hi, total
 
-    def _scan_pages_direct(self, indices: Sequence[int], query: Rect) -> List[Point]:
-        """Per-page scan used while the flat cache is stale after updates.
-
-        Same results and counter accounting as the flat path, filtering each
-        relevant page's own coordinate columns instead of the concatenated
-        cache.
-        """
-        counters = self.counters
-        entries = self.leaflist.entries
-        results: List[Point] = []
-        counters.pages_scanned += len(indices)
-        for index in indices:
-            page = entries[index].page
-            counters.points_filtered += len(page)
-            matches = page.filter_range(query)
-            counters.points_returned += len(matches)
-            results.extend(matches)
-        return results
-
     # ------------------------------------------------------------------
     # updates (Section 6.7)
     # ------------------------------------------------------------------
@@ -1024,7 +976,7 @@ class ZIndex(SpatialIndex):
             self.leaflist.refresh_entry(leaf.leaf_index)
             if self.use_skipping and entry.page.bbox_tuple() != bbox_before:
                 refresh_lookahead_for_leaf(self.leaflist, leaf.leaf_index)
-            self._invalidate_flat(stale_budget=self._STALE_SCAN_BUDGET)
+            self._invalidate_flat()
             return
         self._split_leaf(leaf, parent, quadrant, point)
 
@@ -1073,7 +1025,7 @@ class ZIndex(SpatialIndex):
         self.leaflist.splice(index, new_entries)
         if self.use_skipping:
             repair_lookahead_pointers(self.leaflist, index, len(new_entries))
-        self._invalidate_flat(stale_budget=self._STALE_SCAN_BUDGET)
+        self._invalidate_flat()
 
     def rederive_subtree(
         self,
@@ -1165,7 +1117,7 @@ class ZIndex(SpatialIndex):
             self.leaflist.refresh_entry(leaf.leaf_index)
             if self.use_skipping and entry.page.bbox_tuple() != bbox_before:
                 refresh_lookahead_for_leaf(self.leaflist, leaf.leaf_index)
-            self._invalidate_flat(stale_budget=self._STALE_SCAN_BUDGET)
+            self._invalidate_flat()
             self._maybe_merge()
         return removed
 
@@ -1480,7 +1432,6 @@ class ZIndex(SpatialIndex):
         index._flat_points = None
         index._mask_a = None
         index._mask_b = None
-        index._stale_scan_budget = 0
         index._flat_generation = 0
         index._points_list = None
         if state.num_points not in (None, total):

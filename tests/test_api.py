@@ -1,18 +1,16 @@
-"""Tests for the high-level convenience API."""
+"""Tests for the package-level free functions."""
+
+import warnings
 
 import pytest
 
-from repro import build_index, compare_indexes
-from repro.api import (
-    INDEX_NAMES,
-    run_join_workload,
-    run_knn_workload,
-    run_point_workload,
-    run_range_workload,
-    workload_summary,
-)
+import repro
+import repro.engine
+from repro import INDEX_NAMES, build_index, compare_indexes, workload_summary
 from repro.baselines import FloodIndex, STRRTree
 from repro.core import WaZI
+from repro.evaluation import measure_range_queries
+from repro.evaluation import reporting, runner
 from repro.interfaces import brute_force_range
 from repro.zindex import BaseZIndex
 
@@ -91,32 +89,28 @@ class TestCompareIndexes:
 
 
 class TestWorkloadHelpers:
-    def test_run_range_workload(self, uniform_points, sample_queries):
+    def test_moved_helpers_keep_their_package_exports(self):
+        assert repro.compare_indexes is runner.compare_indexes
+        assert repro.workload_summary is reporting.workload_summary
+
+    def test_batch_range_workload_counters_match_per_query(self, uniform_points,
+                                                           sample_queries):
         index = build_index("base", uniform_points)
-        stats = run_range_workload(index, sample_queries[:10])
+        single = measure_range_queries(index, sample_queries[:10])
+        batch = measure_range_queries(index, sample_queries[:10], batch=True)
+        assert batch.num_queries == single.num_queries == 10
+        assert batch.counters.snapshot() == single.counters.snapshot()
+
+    def test_count_only_range_workload_is_flagged(self, uniform_points, sample_queries):
+        index = build_index("base", uniform_points)
+        stats = measure_range_queries(index, sample_queries[:10], count_only=True)
         assert stats.num_queries == 10
-
-    def test_run_point_workload(self, uniform_points):
-        index = build_index("base", uniform_points)
-        stats = run_point_workload(index, uniform_points[:10])
-        assert stats.counters.points_returned == 10
-
-    def test_run_knn_workload(self, uniform_points):
-        index = build_index("base", uniform_points)
-        for batch in (False, True):
-            stats = run_knn_workload(index, uniform_points[:10], k=5, batch=batch)
-            assert stats.num_queries == 10
-            assert stats.counters.points_returned > 0
-
-    def test_run_join_workload(self, uniform_points):
-        index = build_index("base", uniform_points)
-        stats = run_join_workload(index, uniform_points[:10], "radius", radius=0.05)
-        assert stats.num_queries == 10
-        assert stats.extra["num_pairs"] >= 10  # every probe matches itself
+        assert stats.extra == {"count_only": 1.0}
+        assert workload_summary(stats)["count_only"] == 1.0
 
     def test_workload_summary_keys(self, uniform_points, sample_queries):
         index = build_index("base", uniform_points)
-        stats = run_range_workload(index, sample_queries[:10])
+        stats = measure_range_queries(index, sample_queries[:10])
         summary = workload_summary(stats)
         assert summary["index"] == "Base"
         assert summary["queries"] == 10
@@ -124,71 +118,23 @@ class TestWorkloadHelpers:
         assert summary["points_filtered_per_query"] >= summary["excess_points_per_query"]
 
 
-class TestDeprecationShims:
-    """The legacy free functions warn (once per call site) with a migration hint."""
+class TestCanonicalFunctions:
+    """The package exports the engine's free functions, which never warn."""
 
-    def test_build_index_warns_once_per_call_site(self, uniform_points):
-        import warnings
+    def test_package_exports_are_the_engine_functions(self):
+        assert repro.build_index is repro.engine.build_index
+        assert repro.build_or_load_index is repro.engine.build_or_load_index
 
-        import repro.api as api
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(3):  # one call site, three calls
-                api.build_index("base", uniform_points[:50])
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 1
-            message = str(deprecations[0].message)
-            assert "deprecated" in message
-            assert "SpatialEngine" in message  # the migration hint
-            # a second, distinct call site warns again
-            api.build_index("base", uniform_points[:50])
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            assert len(deprecations) == 2
-
-    def test_build_or_load_index_warns_once_per_call_site(self, uniform_points,
-                                                          tmp_path):
-        import warnings
-
-        import repro.api as api
-
-        path = tmp_path / "shim.snapshot"
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("default")
-            for _ in range(2):  # one call site: load path after first call
-                api.build_or_load_index(
-                    "base", uniform_points[:50], snapshot_path=path
-                )
-            deprecations = [
-                w for w in caught if issubclass(w.category, DeprecationWarning)
-            ]
-            # exactly one warning: the shim's own (the internal build_index
-            # delegation must not add a second one)
-            assert len(deprecations) == 1
-            assert "SpatialEngine.open" in str(deprecations[0].message)
-
-    def test_canonical_engine_functions_do_not_warn(self, uniform_points,
-                                                    tmp_path):
-        import warnings
-
-        from repro.engine import build_index, build_or_load_index
-
+    def test_package_exports_do_not_warn(self, uniform_points, tmp_path):
+        path = tmp_path / "package.snapshot"
         with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            build_index("base", uniform_points[:50])
-            build_or_load_index(
-                "base", uniform_points[:50],
-                snapshot_path=tmp_path / "canonical.snapshot",
-            )
+            warnings.simplefilter("error")
+            repro.build_index("base", uniform_points[:50])
+            for _ in range(2):  # fresh build, then the snapshot load
+                repro.build_or_load_index("base", uniform_points[:50], snapshot_path=path)
 
     def test_loading_a_rebuild_snapshot_does_not_warn(self, uniform_points,
                                                       tmp_path):
-        import warnings
-
         from repro.persistence import load_snapshot, save_rebuild_snapshot
 
         path = tmp_path / "recipe.snapshot"

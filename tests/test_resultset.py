@@ -15,8 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.api import INDEX_NAMES, build_index
-from repro.engine import SpatialEngine
+from repro.engine import INDEX_NAMES, SpatialEngine, build_index
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_knn, brute_force_range
 from repro.query import RangeQuery
@@ -273,14 +272,13 @@ class TestZIndexLaziness:
             brute_force_range(uniform_points, query), key=Point.as_tuple
         )
 
-    def test_batch_range_count_honours_stale_budget_after_mutation(self, uniform_points):
+    def test_batch_range_count_exact_after_mutation(self, uniform_points):
         index = build_index("base", uniform_points, leaf_capacity=16)
-        index.insert(Point(0.5, 0.5))  # flat cache stale, budget armed
+        index.insert(Point(0.5, 0.5))  # flat cache stale
         live = uniform_points + [Point(0.5, 0.5)]
         queries = [Rect(0.1, 0.1, 0.6, 0.6), Rect(0.4, 0.4, 0.9, 0.9)]
         counts = index.batch_range_count(queries)
         assert counts == [len(brute_force_range(live, q)) for q in queries]
-        assert index._flat_starts is None  # the budgeted per-page path served it
 
     def test_resultset_does_not_pin_the_index(self, uniform_points):
         import gc

@@ -1,6 +1,7 @@
 """Unit + HTTP round-trip tests for the service layer (repro.service)."""
 
 import json
+import socket
 import urllib.error
 import urllib.request
 
@@ -267,6 +268,26 @@ class TestHTTPServer:
         with pytest.raises(urllib.error.HTTPError) as exc_info:
             urllib.request.urlopen(request)
         assert exc_info.value.code == 400
+
+    def test_negative_content_length_is_400(self, server):
+        request = (
+            b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: -1\r\n\r\n"
+        )
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request)
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
+
+    def test_non_numeric_content_length_is_400(self, server):
+        request = (
+            b"POST /query HTTP/1.1\r\nHost: localhost\r\n"
+            b"Content-Type: application/json\r\nContent-Length: ten\r\n\r\n"
+        )
+        with socket.create_connection((server.host, server.port), timeout=5) as sock:
+            sock.sendall(request)
+            status_line = sock.makefile("rb").readline()
+        assert status_line.split()[1] == b"400"
 
     def test_trailing_slash_routes(self, server):
         with urllib.request.urlopen(server.url + "/healthz/") as response:

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro import build_index, build_or_load_index
-from repro.api import INDEX_NAMES
+from repro.engine import INDEX_NAMES
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_range
 from repro.persistence import (
@@ -328,7 +328,7 @@ class TestVersionNegotiation:
         assert a == c
 
     def test_workload_content_mismatch_is_rebuilt(self, uniform_points, tmp_path):
-        import repro.api as api
+        import repro.engine as engine
 
         queries = [Rect(0.1, 0.1, 0.5, 0.5), Rect(0.2, 0.2, 0.8, 0.8)]
         path = tmp_path / "wl.snapshot"
@@ -336,16 +336,16 @@ class TestVersionNegotiation:
             "flood", uniform_points, queries, snapshot_path=path,
             leaf_capacity=32, seed=1,
         )
-        assert api._snapshot_matches_request(
+        assert engine._snapshot_matches_request(
             path, "flood", uniform_points, 32, 1, workload=queries
         )
         other = [Rect(0.1, 0.1, 0.5, 0.5), Rect(0.3, 0.3, 0.9, 0.9)]
-        assert not api._snapshot_matches_request(
+        assert not engine._snapshot_matches_request(
             path, "flood", uniform_points, 32, 1, workload=other
         )
         # Same queries in a different order: adaptive baselines crack in
         # order, so the fingerprint is order-sensitive.
-        assert not api._snapshot_matches_request(
+        assert not engine._snapshot_matches_request(
             path, "flood", uniform_points, 32, 1, workload=list(reversed(queries))
         )
 
@@ -485,6 +485,19 @@ class TestRebuildSnapshot:
         with pytest.raises(SnapshotFormatError, match="warp-drive"):
             load_snapshot(path)
 
+    @pytest.mark.parametrize("name", ["str", "cur", "flood", "quasii", "rtree", "quadtree"])
+    def test_loaded_index_supports_updates(self, name, uniform_points, tmp_path):
+        path = tmp_path / f"{name}.snapshot"
+        save_rebuild_snapshot(name, uniform_points, path, seed=1)
+        loaded = load_snapshot(path)
+        loaded.insert(Point(0.123, 0.987))
+        assert loaded.point_query(Point(0.123, 0.987))
+        assert loaded.delete(Point(0.123, 0.987))
+        assert not loaded.point_query(Point(0.123, 0.987))
+        query = Rect(0.1, 0.1, 0.6, 0.6)
+        expected = sorted(as_rows(brute_force_range(uniform_points, query)))
+        assert sorted(as_rows(loaded.range_query(query))) == expected
+
 
 class TestBuildOrLoad:
     def test_second_call_loads_instead_of_building(
@@ -497,12 +510,12 @@ class TestBuildOrLoad:
             "wazi", points, queries, snapshot_path=path, leaf_capacity=32, seed=4
         )
         assert path.exists()
-        import repro.api as api
+        import repro.engine as engine
 
         def refuse(*args, **kwargs):
             raise AssertionError("second call must load the snapshot, not rebuild")
 
-        monkeypatch.setattr(api, "build_index", refuse)
+        monkeypatch.setattr(engine, "build_index", refuse)
         second = build_or_load_index(
             "wazi", points, queries, snapshot_path=path, leaf_capacity=32, seed=4
         )
@@ -552,16 +565,16 @@ class TestBuildOrLoad:
         build_or_load_index(
             "wazi", points, queries, snapshot_path=path, leaf_capacity=32, seed=1
         )
-        import repro.api as api
+        import repro.engine as engine
 
         calls = []
-        original = api.build_index
+        original = engine.build_index
 
         def counting(*args, **kwargs):
             calls.append(args)
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(api, "build_index", counting)
+        monkeypatch.setattr(engine, "build_index", counting)
         # Different seed: rebuild.
         build_or_load_index(
             "wazi", points, queries, snapshot_path=path, leaf_capacity=32, seed=2
@@ -587,9 +600,9 @@ class TestBuildOrLoad:
         points = clustered_points[:200]
         path = tmp_path / "bare.snapshot"
         save_snapshot(build_index("base", points, leaf_capacity=16), path)
-        import repro.api as api
+        import repro.engine as engine
 
-        assert not api._snapshot_matches_request(path, "base", points, 16, 0)
+        assert not engine._snapshot_matches_request(path, "base", points, 16, 0)
 
     def test_extra_kwargs_force_structural_rebuild(
         self, clustered_points, small_workload, tmp_path
@@ -643,13 +656,13 @@ class TestBuildOrLoad:
         build_or_load_index(
             "flood", uniform_points, snapshot_path=path, leaf_capacity=32, seed=1
         )
-        import repro.api as api
+        import repro.engine as engine
 
-        assert api._snapshot_matches_request(path, "flood", uniform_points, 32, 1)
-        assert not api._snapshot_matches_request(path, "flood", uniform_points, 32, 2)
+        assert engine._snapshot_matches_request(path, "flood", uniform_points, 32, 1)
+        assert not engine._snapshot_matches_request(path, "flood", uniform_points, 32, 2)
         # Same size, different content: the fingerprint must catch it.
         shifted = [Point(p.x + 0.25, p.y) for p in uniform_points]
-        assert not api._snapshot_matches_request(path, "flood", shifted, 32, 1)
+        assert not engine._snapshot_matches_request(path, "flood", shifted, 32, 1)
 
     def test_non_zindex_uses_rebuild_recipe(self, uniform_points, tmp_path):
         path = tmp_path / "str.snapshot"
@@ -701,19 +714,67 @@ class TestBinaryDatasetCodecs:
         with pytest.raises(SnapshotFormatError):
             load_points_binary(path)
 
-    def test_malformed_json_rows_raise_persistence_error(self, tmp_path):
-        import json as json_module
+    def test_points_loader_rejects_queries_file(self, sample_queries, tmp_path):
+        path = tmp_path / "queries.cols"
+        save_queries_binary(sample_queries[:3], path)
+        with pytest.raises(SnapshotFormatError):
+            load_points_binary(path)
 
-        from repro.persistence import PersistenceError, load_points, load_queries
+    def test_manifest_records_kind_and_version(self, uniform_points, tmp_path):
+        from repro.persistence import read_manifest
+        from repro.persistence.arrays import ARRAYS_FORMAT_VERSION, KIND_POINTS
 
-        path = tmp_path / "rows.json"
-        path.write_text(json_module.dumps(
-            {"format_version": 1, "kind": "points", "points": [[1.0, 2.0, 3.0]]}
-        ))
-        with pytest.raises(PersistenceError):
-            load_points(path)
-        path.write_text(json_module.dumps(
-            {"format_version": 1, "kind": "queries", "queries": [["a", 0, 1, 1]]}
-        ))
-        with pytest.raises(PersistenceError):
-            load_queries(path)
+        path = tmp_path / "points.cols"
+        save_points_binary(uniform_points[:3], path)
+        manifest = read_manifest(path)
+        assert manifest["kind"] == KIND_POINTS
+        assert manifest["format_version"] == ARRAYS_FORMAT_VERSION
+        assert "library_version" in manifest
+
+    def test_wrong_version_rejected(self, tmp_path):
+        from repro.persistence import write_container
+        from repro.persistence.arrays import KIND_QUERIES
+
+        path = tmp_path / "future.cols"
+        write_container(
+            path,
+            {"kind": KIND_QUERIES, "format_version": 99},
+            {"rects": np.zeros((0, 4))},
+        )
+        with pytest.raises(SnapshotVersionError, match="99"):
+            load_queries_binary(path)
+
+    @pytest.mark.parametrize(
+        "payload", [b"not a container at all", json.dumps([1, 2, 3]).encode("utf-8")]
+    )
+    def test_foreign_file_refused(self, payload, tmp_path):
+        path = tmp_path / "foreign.cols"
+        path.write_bytes(payload)
+        with pytest.raises(SnapshotError):
+            load_points_binary(path)
+
+    def test_missing_column_refused(self, tmp_path):
+        from repro.persistence import write_container
+        from repro.persistence.arrays import ARRAYS_FORMAT_VERSION, KIND_POINTS
+
+        path = tmp_path / "one-column.cols"
+        write_container(
+            path,
+            {"kind": KIND_POINTS, "format_version": ARRAYS_FORMAT_VERSION},
+            {"xs": np.zeros(3)},
+        )
+        with pytest.raises(SnapshotFormatError, match="ys"):
+            load_points_binary(path)
+
+    def test_malformed_rects_table_refused(self, tmp_path):
+        from repro.persistence import write_container
+        from repro.persistence.arrays import ARRAYS_FORMAT_VERSION, KIND_QUERIES
+
+        path = tmp_path / "bad-rects.cols"
+        write_container(
+            path,
+            {"kind": KIND_QUERIES, "format_version": ARRAYS_FORMAT_VERSION},
+            {"rects": np.zeros((1, 3))},
+        )
+        with pytest.raises(SnapshotFormatError, match="rects"):
+            load_queries_binary(path)

@@ -260,9 +260,8 @@ class TestDeletePointerRefresh:
         assert incremental == fresh
 
 
-class TestStaleScanBudget:
-    """Mixed update/query workloads use the per-page path instead of paying
-    an O(N) flat-cache rebuild per query."""
+class TestQueriesAfterMutation:
+    """Queries after in-place updates see every mutation."""
 
     def test_alternating_inserts_and_queries_stay_exact(self):
         rng = np.random.default_rng(15)
@@ -278,15 +277,58 @@ class TestStaleScanBudget:
             got = result_set(index.range_query(query))
             expected = result_set(p for p in live if query.contains_xy(p.x, p.y))
             assert got == expected
-            # A single query after a mutation must not rebuild the cache.
-            assert index._flat_starts is None
 
-    def test_query_burst_rebuilds_flat_cache_once(self):
+    def test_alternating_deletes_and_queries_stay_exact(self):
+        rng = np.random.default_rng(17)
+        points = [Point(float(x), float(y)) for x, y in rng.random((300, 2))]
+        index = BaseZIndex(points, leaf_capacity=16)
+        live = list(points)
+        query = Rect(0.2, 0.2, 0.8, 0.8)
+        for victim in points[:50]:
+            assert index.delete(victim)
+            live.remove(victim)
+            got = result_set(index.range_query(query))
+            expected = result_set(p for p in live if query.contains_xy(p.x, p.y))
+            assert got == expected
+
+    @pytest.mark.parametrize("mutation", ["insert", "delete"])
+    @pytest.mark.parametrize(
+        "path", ["range_query", "range_count", "batch_range_count", "knn"]
+    )
+    def test_first_call_of_each_query_path_sees_the_mutation(self, path, mutation):
+        rng = np.random.default_rng(18)
+        points = [Point(float(x), float(y)) for x, y in rng.random((300, 2))]
+        index = BaseZIndex(points, leaf_capacity=16)
+        index.range_query(Rect(0.0, 0.0, 1.0, 1.0))  # warm the flat cache first
+        live = list(points)
+        if mutation == "insert":
+            changed = Point(0.4321, 0.5432)
+            index.insert(changed)
+            live.append(changed)
+        else:
+            changed = points[7]
+            assert index.delete(changed)
+            live.remove(changed)
+        query = Rect(changed.x - 0.1, changed.y - 0.1, changed.x + 0.1, changed.y + 0.1)
+        expected = result_set(p for p in live if query.contains_xy(p.x, p.y))
+        if path == "range_query":
+            assert result_set(index.range_query(query)) == expected
+        elif path == "range_count":
+            assert index.range_count(query) == len(expected)
+        elif path == "batch_range_count":
+            assert index.batch_range_count([query, query]) == [len(expected)] * 2
+        else:
+            def distance(p):
+                return (p.x - changed.x) ** 2 + (p.y - changed.y) ** 2
+
+            got = sorted(distance(p) for p in index.knn(changed, 5))
+            assert got == sorted(distance(p) for p in live)[:5]
+
+    def test_first_query_after_mutation_rebuilds_flat_cache(self):
         rng = np.random.default_rng(16)
         points = [Point(float(x), float(y)) for x, y in rng.random((200, 2))]
         index = BaseZIndex(points, leaf_capacity=16)
         index.insert(Point(0.5, 0.5))
-        query = Rect(0.1, 0.1, 0.9, 0.9)
-        for _ in range(index._STALE_SCAN_BUDGET + 1):
-            index.range_query(query)
+        assert index._flat_starts is None
+        index.range_query(Rect(0.1, 0.1, 0.9, 0.9))
         assert index._flat_starts is not None

@@ -80,7 +80,7 @@ from repro.persistence import (
 from repro.obs.instrument import EngineMetrics, OnlineMetrics, plan_kind
 from repro.online import MaintenanceLoop, MaintenancePolicy, OnlineIndex
 from repro.persistence.snapshot import json_clone
-from repro.plancache import MISS, PlanCache
+from repro.plancache import MISS, PlanCache, plan_key
 from repro.query import JoinQuery, KnnQuery, PointQuery, Query, RadiusQuery, RangeQuery
 from repro.results import ResultSet
 from repro.workload_log import WorkloadLog
@@ -513,6 +513,63 @@ def _as_plan_cache(
     )
 
 
+def _answer(index: SpatialIndex, plan: Query, count_only: bool, limit: Optional[int]):
+    """A range / kNN / radius plan's cacheable value from the index's scalar
+    entry points: the uncapped count under ``count_only``, else the result
+    set truncated to ``limit``."""
+    if isinstance(plan, RangeQuery):
+        if count_only:
+            return index.range_count(plan.rect)
+        result = index.range_query(plan.rect)
+    elif isinstance(plan, KnnQuery):
+        result = index.knn(plan.center, plan.k, plan.initial_radius)
+    else:
+        result = index.radius_query(plan.center, plan.radius)
+    if count_only:
+        return result.count()
+    return result if limit is None else result.head(limit)
+
+
+def _answers(
+    index: SpatialIndex, plans: List[Query], count_only: bool, limit: Optional[int]
+) -> List:
+    """:func:`_answer` for a :func:`_batchable` run, through the batch entry
+    points."""
+    first = plans[0]
+    if isinstance(first, RangeQuery):
+        rects = [plan.rect for plan in plans]
+        if count_only:
+            return list(index.batch_range_count(rects))
+        results = index.batch_range_query(rects)
+    else:
+        centers = [plan.center for plan in plans]
+        if isinstance(first, KnnQuery):
+            results = index.batch_knn(centers, first.k, first.initial_radius)
+        else:
+            results = index.batch_radius_query(centers, first.radius)
+    if count_only:
+        return [result.count() for result in results]
+    return [result if limit is None else result.head(limit) for result in results]
+
+
+def _batchable(plans: List[Query]) -> bool:
+    """Whether one batch entry point answers all of ``plans``: range plans,
+    kNN plans sharing ``k`` and ``initial_radius``, or radius plans sharing
+    ``radius``."""
+    first = plans[0]
+    kind = type(first)
+    if any(type(plan) is not kind for plan in plans):
+        return False
+    if kind is RangeQuery:
+        return True
+    if kind is KnnQuery:
+        shared = (first.k, first.initial_radius)
+        return all((plan.k, plan.initial_radius) == shared for plan in plans)
+    if kind is RadiusQuery:
+        return all(plan.radius == first.radius for plan in plans)
+    return False
+
+
 class SpatialEngine:
     """Facade owning one index's lifecycle and executing query plans on it.
 
@@ -767,26 +824,6 @@ class SpatialEngine:
         else:
             self.metrics = EngineMetrics(registry)
         return self.metrics
-
-    def _cache_mark(self) -> Optional[tuple]:
-        """The plan cache's (hits, misses) totals, or None without a cache."""
-        if self.plan_cache is None:
-            return None
-        stats = self.plan_cache.stats
-        return (stats.hits, stats.misses)
-
-    def _observe(
-        self, kind: str, seconds: float, count: int,
-        counters_before: Dict, cache_mark: Optional[tuple],
-    ) -> None:
-        cache_delta = None
-        if cache_mark is not None:
-            stats = self.plan_cache.stats
-            cache_delta = (stats.hits - cache_mark[0], stats.misses - cache_mark[1])
-        self.metrics.observe_query(
-            kind, seconds, count,
-            counters_before, vars(self.index.counters), cache_delta,
-        )
 
     # ------------------------------------------------------------------
     # observe
@@ -1104,88 +1141,16 @@ class SpatialEngine:
         without materialising results wherever the index allows it.
         """
         if self.metrics is None:
-            return self._execute(query, count_only=count_only, limit=limit)
-        counters_before = vars(self.index.counters).copy()
-        cache_mark = self._cache_mark()
-        start = time.perf_counter()
-        result = self._execute(query, count_only=count_only, limit=limit)
-        self._observe(
-            plan_kind(query), time.perf_counter() - start, 1,
-            counters_before, cache_mark,
-        )
-        return result
+            return self._execute(query, count_only, limit)
+        return self._measured(plan_kind(query), 1, self._execute, query, count_only, limit)
 
-    def _execute(
-        self, query: Query, *, count_only: bool = False, limit: Optional[int] = None
-    ):
+    def _execute(self, query: Query, count_only: bool, limit: Optional[int]):
         self._check_limit(limit)
-        recording = self._recording
-        cache = self.plan_cache
-        if isinstance(query, RangeQuery):
-            rect = query.rect
-            if count_only:
-                # Cached values are always *uncapped* counts — the cap is
-                # applied per call, so one entry serves every ``limit`` of
-                # its key and recording sees the true count, like a miss.
-                count = MISS
-                if cache is not None:
-                    key = ("range", rect.xmin, rect.ymin, rect.xmax, rect.ymax,
-                           True, limit)
-                    count = cache.lookup(key, self.index)
-                if count is MISS:
-                    count = self.index.range_count(rect)
-                    if cache is not None:
-                        cache.store(key, self.index, count)
-                if recording:
-                    self.workload_log.record_range(rect, count)
-                return self._capped(count, limit)
-            if recording:
-                self.workload_log.record_range(rect)
-            result = MISS
-            if cache is not None:
-                key = ("range", rect.xmin, rect.ymin, rect.xmax, rect.ymax,
-                       False, limit)
-                result = cache.lookup(key, self.index)
-            if result is MISS:
-                result = self._truncated(self.index.range_query(rect), limit)
-                if cache is not None:
-                    cache.store(key, self.index, result)
-            return result
+        if isinstance(query, (RangeQuery, KnnQuery, RadiusQuery)):
+            return self._run(query, count_only, limit)
         if isinstance(query, PointQuery):
             found = self.index.point_query(query.point)
             return int(found) if count_only else found
-        if isinstance(query, KnnQuery):
-            if recording and query.k > 0:
-                self.workload_log.record_knn(query.center, query.k)
-            value = MISS
-            if cache is not None:
-                key = ("knn", query.center.x, query.center.y, query.k,
-                       query.initial_radius, count_only, limit)
-                value = cache.lookup(key, self.index)
-            if value is MISS:
-                result = self.index.knn(query.center, query.k, query.initial_radius)
-                value = result.count() if count_only else self._truncated(result, limit)
-                if cache is not None:
-                    cache.store(key, self.index, value)
-            if count_only:
-                return self._capped(value, limit)
-            return value
-        if isinstance(query, RadiusQuery):
-            if recording:
-                self.workload_log.record_radius(query.center, query.radius)
-            value = MISS
-            if cache is not None:
-                key = ("radius", query.center.x, query.center.y, query.radius,
-                       count_only, limit)
-                value = cache.lookup(key, self.index)
-            if value is MISS:
-                result = self.index.radius_query(query.center, query.radius)
-                value = result.count() if count_only else self._truncated(result, limit)
-                if cache is not None:
-                    cache.store(key, self.index, value)
-            if count_only:
-                return self._capped(value, limit)
-            return value
         if isinstance(query, JoinQuery):
             return self._execute_join(query, count_only=count_only, limit=limit)
         raise TypeError(f"Unknown query plan type {type(query).__name__}")
@@ -1209,155 +1174,116 @@ class SpatialEngine:
         """
         self._check_limit(limit)
         if self.metrics is None:
-            return self._execute_many(queries, count_only=count_only, limit=limit)
+            return self._execute_many(queries, count_only, limit)
         queries = list(queries)
-        if not queries:
-            return []
-        first_type = type(queries[0])
-        if any(type(q) is not first_type for q in queries):
-            # Mixed plans: instrument per plan so the kind labels stay exact.
-            return [
-                self.execute(query, count_only=count_only, limit=limit)
-                for query in queries
-            ]
-        counters_before = vars(self.index.counters).copy()
-        cache_mark = self._cache_mark()
-        start = time.perf_counter()
-        results = self._execute_many(queries, count_only=count_only, limit=limit)
-        self._observe(
-            plan_kind(queries[0]), time.perf_counter() - start, len(queries),
-            counters_before, cache_mark,
-        )
-        return results
-
-    def _execute_many(
-        self,
-        queries: Sequence[Query],
-        *,
-        count_only: bool = False,
-        limit: Optional[int] = None,
-    ) -> List:
-        queries = list(queries)
-        if not queries:
-            return []
-        index = self.index
-        recording = self._recording
-        cache = self.plan_cache
-        if all(type(q) is RangeQuery for q in queries):
-            rects = [q.rect for q in queries]
-            if count_only:
-                if cache is None:
-                    counts = list(index.batch_range_count(rects))
-                else:
-                    # Serve exact repeats from the cache and run only the
-                    # misses through the batch kernel, merging back in
-                    # workload order.  Counters and recording see true
-                    # (uncapped) counts for hits and misses alike.
-                    keys = [
-                        ("range", r.xmin, r.ymin, r.xmax, r.ymax, True, limit)
-                        for r in rects
-                    ]
-                    counts = [cache.lookup(key, index) for key in keys]
-                    missing = [i for i, c in enumerate(counts) if c is MISS]
-                    if missing:
-                        fresh = index.batch_range_count([rects[i] for i in missing])
-                        for i, count in zip(missing, fresh):
-                            cache.store(keys[i], index, count)
-                            counts[i] = count
-                if recording:
-                    self.workload_log.record_ranges(rects, counts)
-                return [self._capped(c, limit) for c in counts]
-            if recording:
-                # One vectorised block append for the whole batch — the
-                # recording cost the production path actually pays.
-                self.workload_log.record_ranges(rects)
-            if cache is None:
-                return [
-                    self._truncated(r, limit) for r in index.batch_range_query(rects)
-                ]
-            keys = [
-                ("range", r.xmin, r.ymin, r.xmax, r.ymax, False, limit)
-                for r in rects
-            ]
-            results = [cache.lookup(key, index) for key in keys]
-            missing = [i for i, r in enumerate(results) if r is MISS]
-            if missing:
-                fresh = index.batch_range_query([rects[i] for i in missing])
-                for i, result in zip(missing, fresh):
-                    truncated = self._truncated(result, limit)
-                    cache.store(keys[i], index, truncated)
-                    results[i] = truncated
-            return results
-        if all(type(q) is KnnQuery for q in queries):
-            first = queries[0]
-            if all(
-                q.k == first.k and q.initial_radius == first.initial_radius
-                for q in queries
-            ):
-                centers = [q.center for q in queries]
-                if recording and first.k > 0:
-                    self.workload_log.record_knns(centers, first.k)
-                if cache is None:
-                    results = index.batch_knn(centers, first.k, first.initial_radius)
-                    if count_only:
-                        return [self._capped(r.count(), limit) for r in results]
-                    return [self._truncated(r, limit) for r in results]
-                keys = [
-                    ("knn", c.x, c.y, first.k, first.initial_radius,
-                     count_only, limit)
-                    for c in centers
-                ]
-                values = [cache.lookup(key, index) for key in keys]
-                missing = [i for i, v in enumerate(values) if v is MISS]
-                if missing:
-                    fresh = index.batch_knn(
-                        [centers[i] for i in missing], first.k, first.initial_radius
-                    )
-                    for i, result in zip(missing, fresh):
-                        value = (
-                            result.count() if count_only
-                            else self._truncated(result, limit)
-                        )
-                        cache.store(keys[i], index, value)
-                        values[i] = value
-                if count_only:
-                    return [self._capped(v, limit) for v in values]
-                return values
-        if all(type(q) is RadiusQuery for q in queries):
-            first = queries[0]
-            if all(q.radius == first.radius for q in queries):
-                centers = [q.center for q in queries]
-                if recording:
-                    self.workload_log.record_radii(centers, first.radius)
-                if cache is None:
-                    results = index.batch_radius_query(centers, first.radius)
-                    if count_only:
-                        return [self._capped(r.count(), limit) for r in results]
-                    return [self._truncated(r, limit) for r in results]
-                keys = [
-                    ("radius", c.x, c.y, first.radius, count_only, limit)
-                    for c in centers
-                ]
-                values = [cache.lookup(key, index) for key in keys]
-                missing = [i for i, v in enumerate(values) if v is MISS]
-                if missing:
-                    fresh = index.batch_radius_query(
-                        [centers[i] for i in missing], first.radius
-                    )
-                    for i, result in zip(missing, fresh):
-                        value = (
-                            result.count() if count_only
-                            else self._truncated(result, limit)
-                        )
-                        cache.store(keys[i], index, value)
-                        values[i] = value
-                if count_only:
-                    return [self._capped(v, limit) for v in values]
-                return values
+        if queries and all(type(q) is type(queries[0]) for q in queries):
+            return self._measured(
+                plan_kind(queries[0]), len(queries), self._execute_many,
+                queries, count_only, limit,
+            )
+        # Mixed plans: instrument per plan so the kind labels stay exact.
         return [
-            self._execute(query, count_only=count_only, limit=limit)
+            self.execute(query, count_only=count_only, limit=limit)
             for query in queries
         ]
+
+    def _execute_many(
+        self, queries: Sequence[Query], count_only: bool, limit: Optional[int]
+    ) -> List:
+        queries = list(queries)
+        if queries and _batchable(queries):
+            return self._run_many(queries, count_only, limit)
+        return [self._execute(query, count_only, limit) for query in queries]
+
+    def _measured(self, kind: str, num: int, run, *args):
+        """``run(*args)`` for ``num`` plans of one kind, reported to the
+        metrics: wall time, the index's cost-counter deltas and the plan
+        cache's hit/miss deltas."""
+        counters_before = vars(self.index.counters).copy()
+        stats = None if self.plan_cache is None else self.plan_cache.stats
+        cache_mark = None if stats is None else (stats.hits, stats.misses)
+        start = time.perf_counter()
+        result = run(*args)
+        seconds = time.perf_counter() - start
+        cache_delta = None
+        if stats is not None:
+            cache_delta = (stats.hits - cache_mark[0], stats.misses - cache_mark[1])
+        self.metrics.observe_query(
+            kind, seconds, num, counters_before, vars(self.index.counters), cache_delta,
+        )
+        return result
+
+    # The range / kNN / radius core.  Cached values are what a miss
+    # computes: *uncapped* counts under ``count_only`` (the cap is applied
+    # per call, so recording sees the true count on hits and misses alike)
+    # and ``limit``-truncated result sets otherwise.
+    def _run(self, plan: Query, count_only: bool, limit: Optional[int]):
+        """One plan through the index's scalar entry points.  Without a
+        plan cache no key is built."""
+        index = self.index
+        cache = self.plan_cache
+        if cache is None:
+            value = _answer(index, plan, count_only, limit)
+        else:
+            key = plan_key(plan, count_only, limit)
+            value = cache.lookup(key, index)
+            if value is MISS:
+                value = _answer(index, plan, count_only, limit)
+                cache.store(key, index, value)
+        if self._recording:
+            self._record((plan,), (value,), count_only)
+        return self._capped(value, limit) if count_only else value
+
+    def _run_many(self, plans: List[Query], count_only: bool, limit: Optional[int]) -> List:
+        """A homogeneous run through the index's batch entry points: exact
+        repeats come from the plan cache and only the misses are scanned,
+        merged back in workload order."""
+        index = self.index
+        cache = self.plan_cache
+        if cache is None:
+            values = _answers(index, plans, count_only, limit)
+        else:
+            keys = [plan_key(plan, count_only, limit) for plan in plans]
+            values = [cache.lookup(key, index) for key in keys]
+            missing = [i for i, value in enumerate(values) if value is MISS]
+            if missing:
+                fresh = _answers(index, [plans[i] for i in missing], count_only, limit)
+                for i, value in zip(missing, fresh):
+                    cache.store(keys[i], index, value)
+                    values[i] = value
+        if self._recording:
+            self._record(plans, values, count_only)
+        if count_only:
+            return [self._capped(value, limit) for value in values]
+        return values
+
+    def _record(self, plans: Sequence[Query], values: Sequence, count_only: bool) -> None:
+        """Append answered plans of one kind to the workload log.
+
+        Runs after the index answered, so a probe it rejected never
+        reaches the log.  Range plans carry their true counts when run
+        count-only; kNN plans with ``k == 0`` are not recorded.
+        """
+        log = self.workload_log
+        first = plans[0]
+        single = len(plans) == 1
+        if isinstance(first, RangeQuery):
+            counts = values if count_only else None
+            if single:
+                log.record_range(first.rect, -1 if counts is None else counts[0])
+            else:
+                log.record_ranges([plan.rect for plan in plans], counts)
+        elif isinstance(first, KnnQuery):
+            if first.k <= 0:
+                return
+            if single:
+                log.record_knn(first.center, first.k)
+            else:
+                log.record_knns([plan.center for plan in plans], first.k)
+        elif single:
+            log.record_radius(first.center, first.radius)
+        else:
+            log.record_radii([plan.center for plan in plans], first.radius)
 
     def _execute_join(
         self, query: JoinQuery, *, count_only: bool, limit: Optional[int]
@@ -1410,10 +1336,6 @@ class SpatialEngine:
     def _capped(count: int, limit: Optional[int]) -> int:
         return count if limit is None else min(count, limit)
 
-    @staticmethod
-    def _truncated(result: ResultSet, limit: Optional[int]) -> ResultSet:
-        return result if limit is None else result.head(limit)
-
     # ------------------------------------------------------------------
     # index protocol delegation
     # ------------------------------------------------------------------
@@ -1452,15 +1374,18 @@ class SpatialEngine:
     def delete(self, point: Point) -> bool:
         return self.index.delete(point)
 
+    # Each protocol method records a probe only once the index answered it.
     def range_query(self, query: Rect) -> ResultSet:
+        result = self.index.range_query(query)
         if self._recording:
             self.workload_log.record_range(query)
-        return self.index.range_query(query)
+        return result
 
     def batch_range_query(self, queries: Sequence[Rect]) -> List[ResultSet]:
+        results = self.index.batch_range_query(queries)
         if self._recording:
             self.workload_log.record_ranges(queries)
-        return self.index.batch_range_query(queries)
+        return results
 
     def range_count(self, query: Rect) -> int:
         count = self.index.range_count(query)
@@ -1478,28 +1403,32 @@ class SpatialEngine:
         return self.index.point_query(point)
 
     def knn(self, center: Point, k: int, initial_radius: Optional[float] = None) -> ResultSet:
+        result = self.index.knn(center, k, initial_radius)
         if self._recording and k > 0:
             self.workload_log.record_knn(center, k)
-        return self.index.knn(center, k, initial_radius)
+        return result
 
     def batch_knn(
         self, centers: Sequence[Point], k: int, initial_radius: Optional[float] = None
     ) -> List[ResultSet]:
+        results = self.index.batch_knn(centers, k, initial_radius)
         if self._recording and k > 0:
             self.workload_log.record_knns(centers, k)
-        return self.index.batch_knn(centers, k, initial_radius)
+        return results
 
     def radius_query(self, center: Point, radius: float) -> ResultSet:
+        result = self.index.radius_query(center, radius)
         if self._recording:
             self.workload_log.record_radius(center, radius)
-        return self.index.radius_query(center, radius)
+        return result
 
     def batch_radius_query(
         self, centers: Sequence[Point], radius: float
     ) -> List[ResultSet]:
+        results = self.index.batch_radius_query(centers, radius)
         if self._recording:
             self.workload_log.record_radii(centers, radius)
-        return self.index.batch_radius_query(centers, radius)
+        return results
 
     def __repr__(self) -> str:
         return f"SpatialEngine({self.name}, {len(self)} points)"

@@ -34,11 +34,29 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Hashable, Optional, Tuple
 
-__all__ = ["MISS", "CacheStats", "PlanCache"]
+from repro.query import KnnQuery, Query, RangeQuery
+
+__all__ = ["MISS", "CacheStats", "PlanCache", "plan_key"]
 
 #: Sentinel returned by :meth:`PlanCache.lookup` when no live entry exists
 #: (``None`` is a legitimate cached value).
 MISS: Any = object()
+
+
+def plan_key(plan: Query, count_only: bool, limit: Optional[int]) -> Tuple:
+    """The cache key of a range, kNN or radius plan run with these options.
+
+    The one definition of a plan-cache key: the plan kind, its parameters,
+    then ``count_only`` and ``limit``.  Cached values are uncapped counts
+    or ``limit``-truncated result sets, so both options belong in the key.
+    """
+    if isinstance(plan, RangeQuery):
+        rect = plan.rect
+        return ("range", rect.xmin, rect.ymin, rect.xmax, rect.ymax, count_only, limit)
+    center = plan.center
+    if isinstance(plan, KnnQuery):
+        return ("knn", center.x, center.y, plan.k, plan.initial_radius, count_only, limit)
+    return ("radius", center.x, center.y, plan.radius, count_only, limit)
 
 
 @dataclass

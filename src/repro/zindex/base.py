@@ -157,8 +157,15 @@ class ZIndex(SpatialIndex):
         # concatenated in curve order, plus per-leaf offsets and the boxed
         # Point for each row (so query results hand back existing objects
         # instead of re-boxing coordinates).  Rebuilt lazily after any
-        # structural or page mutation.
+        # structural or page mutation.  ``_store`` is the column store
+        # backing it, when one is installed (a gather on a live index, or
+        # the store a snapshot load handed us — possibly mmap-backed).
+        # ``_flat_generation`` is a monotone counter identifying the current
+        # flat-column generation: result-set boxers compare it (instead of
+        # holding the arrays) to decide whether the shared object cache
+        # still matches their rows, and the plan cache keys entries on it.
         self._store = None
+        self._flat_generation = 0
         self._flat_x: Optional[np.ndarray] = None
         self._flat_y: Optional[np.ndarray] = None
         self._flat_starts: Optional[np.ndarray] = None
@@ -172,12 +179,7 @@ class ZIndex(SpatialIndex):
     # The dataset as a boxed Point list, used by the update/rebuild paths.
     # Stored lazily: a snapshot load leaves it unmaterialised and the first
     # accessor rebuilds it from the pages, so loading never pays a Python
-    # boxing loop up front.  The class-level default keeps instances whose
-    # __dict__ predates the `_points_list` storage attribute (raw pickles
-    # from earlier revisions) working: their first access materialises from
-    # the pages instead of raising AttributeError.
-    _points_list: Optional[List[Point]] = None
-
+    # boxing loop up front.
     @property
     def _points(self) -> List[Point]:
         if self._points_list is None:
@@ -275,18 +277,6 @@ class ZIndex(SpatialIndex):
     # ------------------------------------------------------------------
     # flat scan cache
     # ------------------------------------------------------------------
-    #: Monotone counter identifying the current flat-column generation.
-    #: Result-set boxers compare it (instead of holding the arrays) to
-    #: decide whether the shared object cache still matches their rows.
-    #: Class-level default keeps pre-counter pickles working.
-    _flat_generation: int = 0
-
-    #: The column store backing the flat scan cache, when one is installed
-    #: (a gather on a live index, or the store a snapshot load handed us —
-    #: possibly mmap-backed).  Class-level default keeps pre-store pickles
-    #: working.
-    _store = None
-
     def _invalidate_flat(self) -> None:
         self._flat_generation += 1
         store = self._store
@@ -500,9 +490,30 @@ class ZIndex(SpatialIndex):
         if self.root is None:
             return [ResultSet.empty() for _ in queries]
         self._prime_query_caches()
-        counters = self.counters
-        project = self._project
         results: List[Optional[ResultSet]] = [None] * len(queries)
+        slots, los, his, bounds = self._batch_spans(queries)
+        if slots:
+            sel, offsets = get_kernels().batch_range_select(
+                self._flat_x, self._flat_y, los, his, bounds, self._mask_a, self._mask_b,
+            )
+            counters = self.counters
+            offsets_list = offsets.tolist()
+            for position, slot in enumerate(slots):
+                part = sel[offsets_list[position]:offsets_list[position + 1]]
+                counters.points_returned += int(part.size)
+                results[slot] = self._result_from_selection(part)
+        return [ResultSet.empty() if result is None else result for result in results]
+
+    def _batch_spans(
+        self, queries: Sequence[Rect]
+    ) -> Tuple[List[int], np.ndarray, np.ndarray, np.ndarray]:
+        """Project each query and charge its page scan (:meth:`_scan_span`).
+
+        Returns the slots of the queries that touch at least one page, and
+        for those, the batch kernels' inputs: the flat-column spans
+        (``los``/``his``) and the windows (``bounds``, one row per slot).
+        """
+        project = self._project
         slots: List[int] = []
         los: List[int] = []
         his: List[int] = []
@@ -510,31 +521,18 @@ class ZIndex(SpatialIndex):
         for slot, query in enumerate(queries):
             relevant = project(query)[2]
             if not relevant:
-                results[slot] = ResultSet.empty()
                 continue
-            lo, hi, total = self._flat_span(relevant)
-            counters.pages_scanned += len(relevant)
-            counters.points_filtered += total
+            lo, hi = self._scan_span(relevant)
             slots.append(slot)
             los.append(lo)
             his.append(hi)
             bounds.append((query.xmin, query.ymin, query.xmax, query.ymax))
-        if slots:
-            sel, offsets = get_kernels().batch_range_select(
-                self._flat_x,
-                self._flat_y,
-                np.asarray(los, dtype=np.int64),
-                np.asarray(his, dtype=np.int64),
-                np.asarray(bounds, dtype=np.float64),
-                self._mask_a,
-                self._mask_b,
-            )
-            offsets_list = offsets.tolist()
-            for position, slot in enumerate(slots):
-                part = sel[offsets_list[position]:offsets_list[position + 1]]
-                counters.points_returned += int(part.size)
-                results[slot] = self._result_from_selection(part)
-        return results  # type: ignore[return-value]
+        return (
+            slots,
+            np.asarray(los, dtype=np.int64),
+            np.asarray(his, dtype=np.int64),
+            np.asarray(bounds, dtype=np.float64),
+        )
 
     def range_count(self, query: Rect) -> int:
         """Count-only range query evaluated purely on the flat columns.
@@ -554,35 +552,14 @@ class ZIndex(SpatialIndex):
         if self.root is None:
             return [0 for _ in queries]
         self._prime_query_caches()
-        counters = self.counters
-        project = self._project
         counts = [0] * len(queries)
-        slots: List[int] = []
-        los: List[int] = []
-        his: List[int] = []
-        bounds: List[Tuple[float, float, float, float]] = []
-        for slot, query in enumerate(queries):
-            relevant = project(query)[2]
-            if not relevant:
-                continue
-            lo, hi, total = self._flat_span(relevant)
-            counters.pages_scanned += len(relevant)
-            counters.points_filtered += total
-            slots.append(slot)
-            los.append(lo)
-            his.append(hi)
-            bounds.append((query.xmin, query.ymin, query.xmax, query.ymax))
+        slots, los, his, bounds = self._batch_spans(queries)
         if not slots:
             return counts
         matched = get_kernels().batch_range_count(
-            self._flat_x,
-            self._flat_y,
-            np.asarray(los, dtype=np.int64),
-            np.asarray(his, dtype=np.int64),
-            np.asarray(bounds, dtype=np.float64),
-            self._mask_a,
-            self._mask_b,
+            self._flat_x, self._flat_y, los, his, bounds, self._mask_a, self._mask_b,
         )
+        counters = self.counters
         for slot, count in zip(slots, matched.tolist()):
             counters.points_returned += count
             counts[slot] = count
@@ -593,9 +570,7 @@ class ZIndex(SpatialIndex):
         counters = self.counters
         if not indices:
             return 0
-        lo, hi, total = self._flat_span(indices)
-        counters.pages_scanned += len(indices)
-        counters.points_filtered += total
+        lo, hi = self._scan_span(indices)
         matched = get_kernels().range_count(
             self._flat_x, self._flat_y, lo, hi,
             query.xmin, query.ymin, query.xmax, query.ymax,
@@ -675,9 +650,7 @@ class ZIndex(SpatialIndex):
             if not relevant:
                 results.append(ResultSet.empty())
                 continue
-            lo, hi, total = self._flat_span(relevant)
-            counters.pages_scanned += len(relevant)
-            counters.points_filtered += total
+            lo, hi = self._scan_span(relevant)
             window_matches, sel = kernels.radius_select(
                 self._flat_x, self._flat_y, lo, hi,
                 window.xmin, window.ymin, window.xmax, window.ymax,
@@ -715,9 +688,7 @@ class ZIndex(SpatialIndex):
             covers = self._window_covers_everything(window)
             relevant = self._project(window)[2]
             if relevant:
-                lo, hi, total = self._flat_span(relevant)
-                counters.pages_scanned += len(relevant)
-                counters.points_filtered += total
+                lo, hi = self._scan_span(relevant)
                 sel, d2 = kernels.knn_candidates(
                     self._flat_x, self._flat_y, lo, hi,
                     window.xmin, window.ymin, window.xmax, window.ymax,
@@ -900,15 +871,13 @@ class ZIndex(SpatialIndex):
         if not indices:
             return ResultSet.empty()
         self._ensure_flat()
-        lo, hi, total = self._flat_span(indices)
-        counters.pages_scanned += len(indices)
-        counters.points_filtered += total
+        lo, hi = self._scan_span(indices)
         # A point matching the query necessarily lives in a leaf whose data
         # bounding box overlaps the query, i.e. in one of the relevant
         # leaves, so masking the whole contiguous span [first, last] returns
         # exactly the points of the relevant pages that fall in the query —
-        # without a per-leaf gather.  (points_filtered above still counts
-        # only the relevant pages, preserving the Figure 13 metric.)
+        # without a per-leaf gather.  (``_scan_span`` still charges only the
+        # relevant pages to points_filtered, preserving the Figure 13 metric.)
         sel = get_kernels().range_select(
             self._flat_x, self._flat_y, lo, hi,
             query.xmin, query.ymin, query.xmax, query.ymax,
@@ -917,12 +886,13 @@ class ZIndex(SpatialIndex):
         counters.points_returned += int(sel.size)
         return self._result_from_selection(sel)
 
-    def _flat_span(self, indices: Sequence[int]):
-        """``(lo, hi, total)`` of the flat rows covered by the given leaves.
+    def _scan_span(self, indices: Sequence[int]) -> Tuple[int, int]:
+        """Charge the scan of the given leaves' pages and return the flat
+        rows ``[lo, hi)`` they span.
 
-        ``[lo, hi)`` is the contiguous flat-column span from the first to
-        the last leaf; ``total`` counts only the rows belonging to the
-        listed leaves themselves (the Figure 13 ``points_filtered`` metric).
+        The span is contiguous from the first to the last leaf;
+        ``points_filtered`` counts only the rows of the listed leaves
+        themselves (the Figure 13 metric).
         """
         starts_l = self._flat_starts_list
         first = indices[0]
@@ -938,7 +908,10 @@ class ZIndex(SpatialIndex):
             starts = self._flat_starts
             idx = np.asarray(indices, dtype=np.int64)
             total = int((starts[idx + 1] - starts[idx]).sum())
-        return lo, hi, total
+        counters = self.counters
+        counters.pages_scanned += num_pages
+        counters.points_filtered += total
+        return lo, hi
 
     # ------------------------------------------------------------------
     # updates (Section 6.7)

@@ -208,6 +208,138 @@ class TestExecuteMany:
             engine.execute_many([], limit=-1)
 
 
+def _recording_engine(points, queries, plan_cache=None):
+    return SpatialEngine.build(
+        "wazi", points, queries, leaf_capacity=16, seed=7,
+        record=True, plan_cache=plan_cache,
+    )
+
+
+def _log_state(engine):
+    log = engine.workload_log
+    return (
+        log.next_seq,
+        log.range_rects.tolist(),
+        log.range_counts.tolist(),
+        log.range_seqs.tolist(),
+        log.knn_probes.tolist(),
+        log.radius_probes.tolist(),
+    )
+
+
+def _counter_delta(engine, before):
+    return {name: value - before[name] for name, value in vars(engine.counters).items()}
+
+
+def _observed_tables(engine):
+    observed = engine.observed()
+    return (
+        observed.ranges.tolist(),
+        observed.knn_probes.tolist(),
+        observed.knn_k.tolist(),
+        observed.radius_probes.tolist(),
+        observed.radius_radii.tolist(),
+        observed.extra,
+    )
+
+
+def _plans(kind, points, queries):
+    if kind == "range":
+        return [RangeQuery(q) for q in queries[:8]]
+    if kind == "knn":
+        return [KnnQuery(p, 5) for p in points[:8]]
+    return [RadiusQuery(p, 0.08) for p in points[:8]]
+
+
+class TestScalarBatchParity:
+    """``execute_many(plans)`` and one ``execute`` per plan are observably
+    the same: values, cost counters, recorded workload and cache stats."""
+
+    @pytest.mark.parametrize("plan_cache", [None, True])
+    @pytest.mark.parametrize("limit", [None, 0, 3])
+    @pytest.mark.parametrize("count_only", [False, True])
+    @pytest.mark.parametrize("kind", ["range", "knn", "radius"])
+    def test_execute_many_matches_execute(
+        self, uniform_points, sample_queries, kind, count_only, limit, plan_cache
+    ):
+        batch = _recording_engine(uniform_points, sample_queries, plan_cache)
+        scalar = _recording_engine(uniform_points, sample_queries, plan_cache)
+        plans = _plans(kind, uniform_points, sample_queries)
+        for _ in range(2):  # the second pass hits the cache when there is one
+            before_batch = vars(batch.counters).copy()
+            before_scalar = vars(scalar.counters).copy()
+            batched = batch.execute_many(plans, count_only=count_only, limit=limit)
+            one_by_one = [
+                scalar.execute(plan, count_only=count_only, limit=limit)
+                for plan in plans
+            ]
+            assert batched == one_by_one
+            assert _counter_delta(batch, before_batch) == _counter_delta(
+                scalar, before_scalar
+            )
+            assert _log_state(batch) == _log_state(scalar)
+            assert _observed_tables(batch) == _observed_tables(scalar)
+            if plan_cache is not None:
+                stats_batch = batch.plan_cache.stats
+                stats_scalar = scalar.plan_cache.stats
+                assert (stats_batch.hits, stats_batch.misses) == (
+                    stats_scalar.hits, stats_scalar.misses
+                )
+        if plan_cache is not None:
+            assert batch.plan_cache.stats.hits == len(plans)
+            assert batch.plan_cache.keys() == scalar.plan_cache.keys()
+
+
+class TestRejectedProbesLeaveLogUnchanged:
+    """A probe the index rejects must not reach the workload log: a NaN kNN
+    center or a negative radius there used to break every later
+    ``advise()``/``observed()`` (and so ``adapt()``)."""
+
+    @staticmethod
+    def _reject(*_args, **_kwargs):
+        raise ValueError("rejected by the index")
+
+    @pytest.mark.parametrize("plan_cache", [None, True])
+    def test_rejected_calls_record_nothing(
+        self, uniform_points, sample_queries, monkeypatch, plan_cache
+    ):
+        engine = _recording_engine(uniform_points, sample_queries, plan_cache)
+        for query in sample_queries[:10]:
+            engine.execute(RangeQuery(query))
+        engine.execute(KnnQuery(uniform_points[0], 4))
+        engine.execute(RadiusQuery(uniform_points[1], 0.05))
+        nan_center = Point(float("nan"), 0.5)
+        center = Point(0.5, 0.5)
+        rect = Rect(0.1, 0.1, 0.4, 0.4)
+        # The real index accepts every range probe the log can record, so
+        # range rejections come from an index method that refuses them.
+        calls = [
+            ("range_query", lambda: engine.range_query(rect)),
+            ("batch_range_query", lambda: engine.batch_range_query([rect, rect])),
+            ("range_count", lambda: engine.range_count(rect)),
+            ("batch_range_count", lambda: engine.batch_range_count([rect, rect])),
+            ("range_query", lambda: engine.execute(RangeQuery(rect))),
+            ("range_count", lambda: engine.execute(RangeQuery(rect), count_only=True)),
+            ("batch_range_query", lambda: engine.execute_many(
+                [RangeQuery(rect), RangeQuery(rect)]
+            )),
+            (None, lambda: engine.knn(nan_center, 3)),
+            (None, lambda: engine.batch_knn([center, nan_center], 3)),
+            (None, lambda: engine.radius_query(center, -1.0)),
+            (None, lambda: engine.batch_radius_query([center, center], -1.0)),
+        ]
+        for rejecting, call in calls:
+            before = _log_state(engine)
+            with monkeypatch.context() as patch:
+                if rejecting is not None:
+                    patch.setattr(engine.index, rejecting, self._reject)
+                with pytest.raises(ValueError):
+                    call()
+            assert _log_state(engine) == before
+            engine.observed()
+            engine.advise()
+
+
 class TestZeroBoxing:
     """Count-only and as_arrays paths never construct a Point (spy test)."""
 

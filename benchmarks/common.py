@@ -9,8 +9,10 @@ reproduction checks.  All sizes can be raised via the environment variables
 ``REPRO_BENCH_SCALE`` (a multiplier) without touching the code.
 
 Each module prints the regenerated rows/series (the same quantities the
-paper reports) in addition to registering pytest-benchmark timings, so a
-plain ``pytest benchmarks/ --benchmark-only -s`` shows the tables.
+paper reports) in addition to registering pytest-benchmark timings, so
+``python -m pytest -s benchmarks/bench_fig*.py benchmarks/bench_table*.py
+--benchmark-disable`` shows the tables (pytest does not collect
+``bench_*.py`` by itself, so the modules are named explicitly).
 """
 
 from __future__ import annotations
@@ -54,26 +56,6 @@ DEFAULT_NUM_RANGE_QUERIES = int(150 * SCALE) or 1
 DEFAULT_NUM_POINT_QUERIES = int(400 * SCALE) or 1
 DEFAULT_LEAF_CAPACITY = 64
 DEFAULT_SEED = 17
-
-#: Seed-space stride separating per-worker/per-shard streams.  Large and
-#: prime so derived seeds never collide with each other or with the small
-#: hand-picked base seeds across any realistic worker count.
-_WORKER_SEED_STRIDE = 1_000_003
-
-
-def worker_seed(seed: int, shard_id: int) -> int:
-    """The deterministic seed for one worker/shard of a distributed run.
-
-    Serving benchmarks split work across shards and worker processes; each
-    slice derives its seed as ``worker_seed(base, shard_id)`` so a sharded
-    run and a single-process run replay *identical* workloads — the
-    single-process driver iterates the same shard ids and gets the same
-    streams, regardless of process count, start method or scheduling
-    order.
-    """
-    if shard_id < 0:
-        raise ValueError(f"shard_id must be non-negative, got {shard_id}")
-    return int(seed) + _WORKER_SEED_STRIDE * (int(shard_id) + 1)
 
 #: Mapping from the display names used in the tables to build_index() keys.
 INDEX_KEYS = {
@@ -130,21 +112,6 @@ def build_named_index(
     return build_index(
         INDEX_KEYS[display_name], points, queries, leaf_capacity=leaf_capacity, seed=seed
     )
-
-
-def warm_query_caches(index, rects: Sequence[Rect]) -> None:
-    """Prime an index's lazy query-path caches with one untimed replay.
-
-    The first range query on a freshly built (or freshly adapted) index
-    pays one-off costs that have nothing to do with the layout being
-    measured: packing the leaf list into the flat scan columns and
-    allocating the reusable mask buffers.  A/B layout comparisons must
-    call this on *both* indexes before entering the timed region,
-    otherwise whichever leg happens to run its first query inside the
-    timer absorbs the warm-up and the reported ratio flatters the other
-    leg.
-    """
-    index.batch_range_count(list(rects))
 
 
 def measure_index(
@@ -229,18 +196,14 @@ def print_results_table(title: str, headers: List[str], rows: List[List[object]]
         )
 
 
-def micros(seconds: float) -> float:
-    return seconds * 1e6
-
-
 def write_json_report(name: str, payload: dict) -> str:
     """Write a benchmark's machine-readable summary next to its .txt report.
 
-    ``name`` is the module-style benchmark name (``"bench_adapt"``); the
-    summary lands in ``results/<name>.json`` with sorted keys so the perf
-    trajectory diffs cleanly across commits.  Callers pass whatever
-    metrics/speedups/thresholds they assert on; this helper only adds the
-    benchmark name and returns the path written.
+    ``name`` is the module-style benchmark name
+    (``"bench_table1_properties"``); the summary lands in
+    ``results/<name>.json`` with sorted keys.  Callers pass whatever they
+    assert on; this helper only adds the benchmark name and returns the
+    path written.
     """
     import json
 

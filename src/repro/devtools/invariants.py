@@ -44,7 +44,8 @@ interposes a :class:`KernelParityChecker` on the active kernel backend
 so one in every ``kernel_sample_every`` hot-path kernel calls is
 differentially re-executed on the reference tier.  With the variable
 unset, the library functions are left untouched — zero overhead
-(``benchmarks/bench_sanitize.py`` asserts this).
+(``tests/test_devtools_invariants.py::TestDisabledModeIsFree`` asserts
+this by identity).
 """
 
 from __future__ import annotations
@@ -455,7 +456,7 @@ def install_sanitizer(
 
     Idempotent.  With the sanitizer never installed, the wrapped functions
     are the pristine originals — the disabled-mode overhead is exactly
-    zero, which ``benchmarks/bench_sanitize.py`` verifies by identity.
+    zero, which ``TestDisabledModeIsFree`` verifies by identity.
     """
     global _ORIGINALS
     if _ORIGINALS is not None:

@@ -44,7 +44,6 @@ __all__ = [
     "get_kernels",
     "numba_available",
     "reference_kernels",
-    "requested_backend",
     "resolve_backend",
     "set_kernels",
     "use",
@@ -93,15 +92,7 @@ def resolve_backend(name: Optional[str]) -> Tuple[object, str]:
     )
 
 
-#: The tier the environment asked for (before availability resolution).
-_REQUESTED = os.environ.get(ENV_VAR)
-
-_active, _active_name = resolve_backend(_REQUESTED)
-
-
-def requested_backend() -> Optional[str]:
-    """The raw ``REPRO_KERNELS`` value seen at import (``None`` if unset)."""
-    return _REQUESTED
+_active, _active_name = resolve_backend(os.environ.get(ENV_VAR))
 
 
 def get_kernels() -> object:

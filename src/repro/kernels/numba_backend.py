@@ -14,10 +14,9 @@ Equivalence contract: every function returns byte-identical values to
 double-precision predicates, ``dx*dx + dy*dy`` is the same pair of
 double multiplies and one add in both tiers (``fastmath`` stays OFF —
 the ``kernel-parity`` lint rule forbids it), and selections are emitted
-in ascending row order exactly like ``np.flatnonzero``.  Inputs whose
-coordinate columns are not ``float64`` (the opt-in float32 storage
-mode) are delegated to the fallback wholesale, so the compiled tier
-never has to reason about mixed-precision promotion rules.
+in ascending row order exactly like ``np.flatnonzero``.  Every column
+that reaches a kernel is ``float64`` (builds, mutations and snapshot
+loads all store coordinates at that width).
 
 This module imports ``numba`` at module level and must only be imported
 by :mod:`repro.kernels` after probing that the dependency exists.
@@ -29,8 +28,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numba import njit
-
-from repro.kernels import fallback
 
 __all__ = [
     "BACKEND",
@@ -44,11 +41,6 @@ __all__ = [
 
 #: Name reported by :func:`repro.kernels.backend_name` when active.
 BACKEND = "numba"
-
-
-def _compiled_dtype(flat_x: np.ndarray, flat_y: np.ndarray) -> bool:
-    """Whether the compiled tier serves these columns (float64 only)."""
-    return flat_x.dtype == np.float64 and flat_y.dtype == np.float64
 
 
 @njit(cache=True)
@@ -195,10 +187,6 @@ def range_count(
     mask: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> int:
-    if not _compiled_dtype(flat_x, flat_y):
-        return fallback.range_count(
-            flat_x, flat_y, lo, hi, xmin, ymin, xmax, ymax, mask, scratch
-        )
     return int(
         _range_count(
             flat_x, flat_y, int(lo), int(hi),
@@ -219,10 +207,6 @@ def range_select(
     mask: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    if not _compiled_dtype(flat_x, flat_y):
-        return fallback.range_select(
-            flat_x, flat_y, lo, hi, xmin, ymin, xmax, ymax, mask, scratch
-        )
     return _range_select(
         flat_x, flat_y, int(lo), int(hi),
         float(xmin), float(ymin), float(xmax), float(ymax),
@@ -238,10 +222,6 @@ def batch_range_count(
     mask: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    if not _compiled_dtype(flat_x, flat_y):
-        return fallback.batch_range_count(
-            flat_x, flat_y, los, his, bounds, mask, scratch
-        )
     return _batch_range_count(
         flat_x,
         flat_y,
@@ -260,10 +240,6 @@ def batch_range_select(
     mask: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    if not _compiled_dtype(flat_x, flat_y):
-        return fallback.batch_range_select(
-            flat_x, flat_y, los, his, bounds, mask, scratch
-        )
     return _batch_range_select(
         flat_x,
         flat_y,
@@ -287,10 +263,6 @@ def knn_candidates(
     mask: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray]:
-    if not _compiled_dtype(flat_x, flat_y):
-        return fallback.knn_candidates(
-            flat_x, flat_y, lo, hi, xmin, ymin, xmax, ymax, cx, cy, mask, scratch
-        )
     return _knn_candidates(
         flat_x, flat_y, int(lo), int(hi),
         float(xmin), float(ymin), float(xmax), float(ymax),
@@ -313,11 +285,6 @@ def radius_select(
     mask: Optional[np.ndarray] = None,
     scratch: Optional[np.ndarray] = None,
 ) -> Tuple[int, np.ndarray]:
-    if not _compiled_dtype(flat_x, flat_y):
-        return fallback.radius_select(
-            flat_x, flat_y, lo, hi, xmin, ymin, xmax, ymax,
-            cx, cy, radius_squared, mask, scratch,
-        )
     window_matches, sel = _radius_select(
         flat_x, flat_y, int(lo), int(hi),
         float(xmin), float(ymin), float(xmax), float(ymax),

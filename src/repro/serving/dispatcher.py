@@ -171,15 +171,30 @@ class ShardedIndex(SpatialIndex):
         ``targets`` is ``[(shard_id, payload), ...]``.  All requests are
         submitted before any reply is collected, so shards hosted by
         different worker processes execute concurrently.  Counter deltas
-        and busy times are absorbed here.
+        and busy times are absorbed here.  When a submit or a reply
+        fails, every reply still outstanding is drained before the first
+        error is raised, so no later request reads a stale reply.
         """
-        for shard_id, payload in targets:
-            self._backends[shard_id].submit(method, payload)
+        backends = self._backends
+        error = None
+        for n, (shard_id, payload) in enumerate(targets):
+            try:
+                backends[shard_id].submit(method, payload)
+            except Exception as exc:  # noqa: BLE001 - raised after the drain
+                error, targets = exc, targets[:n]
+                break
         replies = []
         for shard_id, _payload in targets:
-            data, delta, busy = self._backends[shard_id].collect()
+            try:
+                data, delta, busy = backends[shard_id].collect()
+            except Exception as exc:  # noqa: BLE001 - raised after the drain
+                if error is None:
+                    error = exc
+                continue
             self._absorb(shard_id, delta, busy, method)
             replies.append(data)
+        if error is not None:
+            raise error
         return replies
 
     def reset_busy(self) -> None:

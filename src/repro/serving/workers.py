@@ -227,6 +227,10 @@ class ShardHost:
     several requests (for different slots) before ``receive``-ing the
     replies in order, which is what lets a scatter over W hosts run W
     engines concurrently.
+
+    A pipe that fails (the worker died) raises :class:`ServingError`, and
+    the host stays failed: every later ``send`` or ``receive`` raises the
+    same error without touching the pipe.
     """
 
     def __init__(
@@ -247,6 +251,8 @@ class ShardHost:
         self._process.start()
         child_conn.close()
         self._outstanding = 0
+        #: Why the pipe failed, once it has; the host serves nothing after.
+        self._failure: Optional[str] = None
         status, detail = self._conn.recv()
         if status != "ready":
             self._process.join(timeout=5.0)
@@ -254,17 +260,35 @@ class ShardHost:
         self.slot_sizes: List[int] = list(detail)
 
     def send(self, slot: int, method: str, payload: Any = None) -> None:
-        self._conn.send((slot, method, payload))
+        if self._failure is not None:
+            raise ServingError(self._failure)
+        try:
+            self._conn.send((slot, method, payload))
+        except (OSError, EOFError) as exc:
+            raise self._fail(exc) from exc
         self._outstanding += 1
 
     def receive(self) -> Any:
         if self._outstanding <= 0:
             raise RuntimeError("no outstanding request on this shard host")
         self._outstanding -= 1
-        status, detail = self._conn.recv()
+        if self._failure is not None:
+            raise ServingError(self._failure)
+        try:
+            status, detail = self._conn.recv()
+        except (OSError, EOFError) as exc:
+            raise self._fail(exc) from exc
         if status == "ok":
             return detail
         raise ServingError(detail)
+
+    def _fail(self, exc: BaseException) -> ServingError:
+        """Mark the host failed after a pipe error; the error to raise."""
+        self._failure = (
+            f"shard worker (pid {self.pid}) is unreachable: "
+            f"{type(exc).__name__}: {exc}"
+        )
+        return ServingError(self._failure)
 
     def request(self, slot: int, method: str, payload: Any = None) -> Any:
         self.send(slot, method, payload)
@@ -320,12 +344,21 @@ class LocalBackend:
         return cls(_load_engine(path, mmap, validate))
 
     def submit(self, method: str, payload: Any = None) -> None:
-        self._pending.append(self.engine.handle(method, payload))
+        """Execute now; a failure is raised by the matching ``collect``,
+        where a worker-process backend would report it."""
+        try:
+            reply = self.engine.handle(method, payload)
+        except Exception as exc:  # noqa: BLE001 - deferred to collect()
+            reply = exc
+        self._pending.append(reply)
 
     def collect(self) -> Any:
         if not self._pending:
             raise RuntimeError("no outstanding request on this backend")
-        return self._pending.pop(0)
+        reply = self._pending.pop(0)
+        if isinstance(reply, Exception):
+            raise reply
+        return reply
 
     def request(self, method: str, payload: Any = None) -> Any:
         return self.engine.handle(method, payload)

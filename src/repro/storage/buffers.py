@@ -46,11 +46,6 @@ COLUMN_NAMES = (
 )
 
 
-#: The coordinate-bearing columns the float32 storage mode narrows.  Row
-#: offsets, skip pointers and flags stay integral/bool at full width.
-COORD_COLUMNS = ("flat_x", "flat_y", "leaf_boxes")
-
-
 class ColumnStore:
     """Named, read-only column arrays plus a generation counter.
 
@@ -110,44 +105,6 @@ class ColumnStore:
     @property
     def nbytes(self) -> int:
         return sum(column.nbytes for column in self._columns.values())
-
-    @property
-    def coord_dtype(self) -> np.dtype:
-        """The dtype the coordinate columns are served in (float64 default)."""
-        for name in COORD_COLUMNS:
-            column = self._columns.get(name)
-            if column is not None:
-                return column.dtype
-        return np.dtype(np.float64)
-
-    def astype_coords(self, dtype) -> "MemoryColumnStore":
-        """A derived in-memory store with the coordinate columns cast.
-
-        The float32 mode for memory-bound datasets: ``flat_x`` /
-        ``flat_y`` / ``leaf_boxes`` are re-materialised at the requested
-        width (halving the coordinate footprint for ``float32``) while
-        every offset/pointer/flag column is *shared* with this store, not
-        copied.  Casting is IEEE round-to-nearest and monotone, so leaf
-        boxes cast from the same values as their points stay consistent
-        bounds — but window predicates then evaluate against the rounded
-        coordinates: matching is **value-lossy**, not byte-identical to
-        the float64 tier.  Strictly opt-in; see ``docs/KERNELS.md``.
-
-        Already-narrow stores pass through unchanged column objects, so
-        the cast is idempotent and cheap to re-apply.
-        """
-        dtype = np.dtype(dtype)
-        if dtype.kind != "f":
-            raise ValueError(
-                f"coordinate columns must stay floating point, got {dtype}"
-            )
-        columns: Dict[str, np.ndarray] = {}
-        for name, column in self._columns.items():
-            if name in COORD_COLUMNS and column.dtype != dtype:
-                columns[name] = np.ascontiguousarray(column, dtype=dtype)
-            else:
-                columns[name] = column
-        return MemoryColumnStore(columns)
 
     def __repr__(self) -> str:
         return (

@@ -5,8 +5,8 @@ a *serving* system instead sees traffic that shifts in phases — a hotspot
 moves, users zoom in, the query mix tilts towards kNN.  This module
 generates such piecewise-stationary scenarios as lists of
 :class:`DriftPhase` objects (each phase a frozen
-:class:`~repro.workloads.Workload`), shared by the adaptation benchmark
-(``benchmarks/bench_adapt.py``), the adaptive-lifecycle tests and
+:class:`~repro.workloads.Workload`), shared by the benchmark
+(``bench/workloads.py``), the workload tests and
 ``examples/adaptive_serving.py``.
 
 Scenario kinds (:data:`SCENARIO_KINDS`):
@@ -191,8 +191,8 @@ def moving_hotspot(
     interpolation increment from ``start`` towards ``end``, and a fresh
     batch of ``queries_per_step`` small range queries concentrates around
     the new position.  A one-shot adapted layout fits step 0 and decays
-    as the hotspot walks away from it — exactly the gap
-    ``benchmarks/bench_online.py`` measures.
+    as the hotspot walks away from it — the scans of the ``online-drift``
+    workload of ``python3 -m bench``.
 
     Returns ``num_steps`` single-batch :class:`DriftPhase` objects
     (``step-00``, ``step-01``, …), deterministic given ``seed``.

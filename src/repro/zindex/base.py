@@ -311,22 +311,11 @@ class ZIndex(SpatialIndex):
         if self._flat_starts is not None:
             return self._flat_x, self._flat_y, self._flat_starts
         store = MemoryColumnStore.gather(self.leaflist)
-        self._adopt_store(store)
-        return self._flat_x, self._flat_y, self._flat_starts
-
-    def _adopt_store(self, store) -> None:
-        """Install a column store as the flat scan cache, re-pointing pages.
-
-        ``store`` must hold ``flat_x`` / ``flat_y`` / ``leaf_starts``
-        columns consistent with the current LeafList (same curve order,
-        same per-leaf counts).
-        """
         flat_x = store["flat_x"]
         flat_y = store["flat_y"]
         starts = store["leaf_starts"]
         starts_list = starts.tolist()
-        entries = self.leaflist.entries
-        for index, entry in enumerate(entries):
+        for index, entry in enumerate(self.leaflist.entries):
             lo, hi = starts_list[index], starts_list[index + 1]
             entry.page.adopt_view(flat_x[lo:hi], flat_y[lo:hi])
         self._store = store
@@ -334,35 +323,7 @@ class ZIndex(SpatialIndex):
         self._flat_y = flat_y
         self._flat_starts = starts
         self._flat_starts_list = starts_list
-
-    def adopt_coord_dtype(self, dtype) -> None:
-        """Re-serve the flat scan cache at a narrower coordinate width.
-
-        The float32 storage mode for memory-bound read-mostly serving:
-        the column store is re-materialised via
-        :meth:`~repro.storage.buffers.ColumnStore.astype_coords` and the
-        pages re-pointed at the narrowed slices, halving the resident
-        coordinate footprint.  Matching then evaluates the *rounded*
-        values — results are no longer byte-identical to the float64
-        tier (see ``docs/KERNELS.md`` for the tradeoff), which is why
-        this is a method you call, never a default.  The flat generation
-        advances so retained result sets and cached plans computed at
-        full width are never served for the narrowed index.
-
-        Narrowing is **one-way**: the pages themselves are re-pointed at
-        the narrowed columns (that is what halves the resident
-        footprint), so widening back — explicitly, or via the float64
-        rebuild a later mutation triggers — restores the *dtype*, not
-        the original values.  Reload the pre-narrowing snapshot to
-        recover full precision.
-        """
-        self._prime_query_caches()
-        store = self._store
-        narrowed = store.astype_coords(dtype)
-        if narrowed["flat_x"] is store["flat_x"]:
-            return  # already served at this width
-        self._invalidate_flat()
-        self._adopt_store(narrowed)
+        return flat_x, flat_y, starts
 
     def _ensure_flat(self) -> None:
         """(Re)build the concatenated coordinate columns when stale.

@@ -21,7 +21,7 @@ def runtime_sanitizer():
     """Deep-check every index the suite builds when REPRO_SANITIZE=1.
 
     With the variable unset this fixture is a no-op and the library entry
-    points stay pristine (bench_sanitize.py asserts the identity).
+    points stay pristine (TestDisabledModeIsFree asserts the identity).
     """
     if not sanitize_enabled():
         yield

@@ -63,6 +63,15 @@ class TestObserve:
         assert log.num_knn == 2
         assert log.num_radius == 3
 
+    def test_recording_leaves_results_unchanged(self, uniform_points, sample_queries):
+        engine = SpatialEngine.build("wazi", uniform_points, sample_queries, seed=1)
+        plans = [RangeQuery(rect) for rect in sample_queries]
+        plain = engine.execute_many(plans, count_only=True)
+        with engine.recording():
+            recorded = engine.execute_many(plans, count_only=True)
+        assert recorded == plain
+        assert engine.workload_log.range_counts.tolist() == plain
+
     def test_protocol_delegation_records(self, recording_engine):
         recording_engine.range_query(Rect(0, 0, 0.5, 0.5))
         recording_engine.batch_range_query([Rect(0, 0, 1, 1)])

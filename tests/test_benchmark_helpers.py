@@ -5,8 +5,6 @@ figures, so their shared plumbing (index name mapping, cached workloads,
 report emission) deserves the same coverage as the library itself.
 """
 
-import pytest
-
 from benchmarks import common
 from repro.engine import INDEX_NAMES
 from repro.workloads import REGION_NAMES
@@ -62,64 +60,6 @@ class TestMeasurement:
         assert result.build_seconds > 0
         assert result.range_stats is not None
         assert result.point_stats is not None
-
-    def test_micros(self):
-        assert common.micros(0.001) == pytest.approx(1000.0)
-
-
-class TestWarmQueryCaches:
-    """warm_query_caches must leave an index with no first-query work left."""
-
-    def _fresh_index(self):
-        points = common.dataset("newyork", 800)
-        workload = common.range_workload("newyork", 0.0256, 10)
-        index = common.build_named_index("WaZI", points, workload.queries,
-                                         leaf_capacity=32)
-        return index, list(workload.queries)
-
-    def test_primes_flat_scan_cache(self):
-        index, rects = self._fresh_index()
-        assert index._flat_x is None  # freshly built: lazy caches empty
-        common.warm_query_caches(index, rects)
-        assert index._flat_x is not None
-        assert index._flat_starts is not None
-
-    def test_primes_reusable_mask_buffers(self):
-        index, rects = self._fresh_index()
-        common.warm_query_caches(index, rects)
-        assert index._mask_a is not None
-
-    def test_warming_does_not_change_results(self):
-        index, rects = self._fresh_index()
-        cold = [r.count() for r in index.batch_range_query(rects)]
-        common.warm_query_caches(index, rects)
-        warm = [r.count() for r in index.batch_range_query(rects)]
-        assert cold == warm
-
-    def test_accepts_tuple_of_rects(self):
-        index, rects = self._fresh_index()
-        common.warm_query_caches(index, tuple(rects))
-        assert index._flat_x is not None
-
-
-class TestWorkerSeeds:
-    def test_distinct_per_shard_and_deterministic(self):
-        seeds = [common.worker_seed(common.DEFAULT_SEED, shard) for shard in range(16)]
-        assert len(set(seeds)) == 16
-        assert seeds == [common.worker_seed(common.DEFAULT_SEED, s) for s in range(16)]
-
-    def test_distinct_across_base_seeds(self):
-        # Nearby base seeds must not collide with other shards' streams.
-        seeds = {
-            common.worker_seed(base, shard)
-            for base in range(common.DEFAULT_SEED, common.DEFAULT_SEED + 4)
-            for shard in range(8)
-        }
-        assert len(seeds) == 4 * 8
-
-    def test_negative_shard_rejected(self):
-        with pytest.raises(ValueError):
-            common.worker_seed(common.DEFAULT_SEED, -1)
 
 
 class TestReportEmission:

@@ -3,9 +3,15 @@ named invariant, install/uninstall leaves the library pristine."""
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import repro
 from repro.devtools import invariants
 from repro.devtools.invariants import (
     InvariantViolation,
@@ -220,6 +226,51 @@ def pristine_sanitizer():
     uninstall_sanitizer()
     if was_installed:
         install_sanitizer()
+
+
+class TestDisabledModeIsFree:
+    """Off, the sanitizer costs nothing; on, it only reads."""
+
+    def test_importing_the_sanitizer_patches_nothing(self):
+        script = "\n".join([
+            "from repro.zindex.base import ZIndex",
+            "build = ZIndex.__dict__['_build']",
+            "load = ZIndex.__dict__['from_snapshot_state'].__func__",
+            "from repro.devtools import invariants",
+            "assert not invariants.sanitizer_installed()",
+            "assert ZIndex.__dict__['_build'] is build",
+            "assert ZIndex.__dict__['from_snapshot_state'].__func__ is load",
+        ])
+        env = {k: v for k, v in os.environ.items() if k != "REPRO_SANITIZE"}
+        env["PYTHONPATH"] = str(Path(repro.__file__).resolve().parents[1])
+        subprocess.run([sys.executable, "-c", script], env=env, check=True)
+
+    def test_sanitized_run_matches_pristine_and_uninstall_restores(
+        self, points, workload, tmp_path, pristine_sanitizer
+    ):
+        build = ZIndex.__dict__["_build"]
+        load = ZIndex.__dict__["from_snapshot_state"].__func__
+        queries = [Rect(0.05 * i, 0.1, 0.05 * i + 0.3, 0.6) for i in range(12)]
+
+        def signature():
+            built = build_index("wazi", points, workload, leaf_capacity=16, seed=0)
+            save_snapshot(built, tmp_path / "s.snapshot")
+            rows = []
+            for index in (built, load_snapshot(tmp_path / "s.snapshot")):
+                index.reset_counters()
+                results = [[p.as_tuple() for p in index.range_query(q)] for q in queries]
+                rows.append((results, index.counters.snapshot()))
+            return rows
+
+        pristine = signature()
+        install_sanitizer()
+        try:
+            sanitized = signature()
+        finally:
+            uninstall_sanitizer()
+        assert sanitized == pristine
+        assert ZIndex.__dict__["_build"] is build
+        assert ZIndex.__dict__["from_snapshot_state"].__func__ is load
 
 
 class TestInstallation:

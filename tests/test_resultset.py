@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 from repro.engine import INDEX_NAMES, SpatialEngine, build_index
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_knn, brute_force_range
-from repro.query import RangeQuery
+from repro.persistence import load_snapshot, save_snapshot
+from repro.query import KnnQuery, RangeQuery
 from repro.results import ResultSet
 from repro.zindex import ZIndex
 
@@ -292,6 +293,20 @@ class TestZIndexLaziness:
         gc.collect()
         assert ref() is None  # un-boxed results hold no strong index reference
         assert len(result.points()) == expected  # boxes from the captured columns
+
+    def test_knn_arrays_on_a_freshly_loaded_index_box_nothing(
+        self, uniform_points, tmp_path
+    ):
+        built = ZIndex(uniform_points, leaf_capacity=16)
+        save_snapshot(built, tmp_path / "index.snapshot")
+        loaded = load_snapshot(tmp_path / "index.snapshot")
+        probes = uniform_points[:12]
+        plans = [KnnQuery(probe, 7) for probe in probes]
+        arrays = [r.as_arrays() for r in SpatialEngine(loaded).execute_many(plans)]
+        assert loaded._flat_points is None  # served straight off the columns
+        for (xs, ys), boxed in zip(arrays, built.batch_knn(probes, 7)):
+            assert xs.tolist() == [p.x for p in boxed]
+            assert ys.tolist() == [p.y for p in boxed]
 
     def test_engine_count_only_skips_selection(self, uniform_points, sample_queries):
         engine = SpatialEngine.build("base", uniform_points, leaf_capacity=16)

@@ -8,7 +8,7 @@ import urllib.request
 import pytest
 
 from repro.engine import SpatialEngine
-from repro.obs import MetricsRegistry
+from repro.obs import COST_FIELDS, MetricsRegistry
 from repro.query import KnnQuery, PointQuery, RadiusQuery, RangeQuery
 from repro.service import SpatialService, render_json_bytes, serve
 from repro.service.errors import (
@@ -325,6 +325,50 @@ class TestHTTPServer:
                 assert stats["num_shards"] == 2
                 metrics = urllib.request.urlopen(server.url + "/metrics").read()
                 assert b"repro_shard_busy_micros" in metrics
+
+    def test_sharded_responses_byte_identical_and_metrics_exact(
+        self, engine, small_workload, tmp_path
+    ):
+        from repro.serving import build_shards, open_sharded
+
+        rects = small_workload.queries[:8]
+        centers = [[(r.xmin + r.xmax) / 2, (r.ymin + r.ymax) / 2] for r in rects]
+        radii = [(r.xmax - r.xmin) / 2 for r in rects]
+        payloads = [
+            {"queries": [_rect_spec(r) for r in rects], "count_only": True},
+            {"queries": [_rect_spec(r) for r in rects]},
+            {"queries": [{"kind": "knn", "center": c, "k": 8} for c in centers]},
+            {"queries": [{"kind": "radius", "center": c, "radius": r}
+                         for c, r in zip(centers, radii)]},
+            dict(_rect_spec(rects[0]), limit=16),
+            {"kind": "knn", "center": centers[0], "k": 8},
+            {"kind": "radius", "center": centers[0], "radius": radii[0]},
+        ]
+        sent = {"range": 2 * len(rects) + 1, "knn": len(rects) + 1,
+                "radius": len(rects) + 1}
+        twin = SpatialService(SpatialEngine(engine.index), record=False)
+        build_shards(engine.index, tmp_path / "shards", 3,
+                     workload=small_workload.queries)
+        with open_sharded(tmp_path / "shards", workers=0) as sharded:
+            with serve(sharded, record=False).start() as server:
+                for payload in payloads:
+                    status, body = self._post(server, "/query", payload)
+                    assert status == 200
+                    assert body == render_json_bytes(twin.handle_query(payload))
+                metrics = urllib.request.urlopen(server.url + "/metrics").read()
+                stats = json.loads(urllib.request.urlopen(server.url + "/stats").read())
+        samples = dict(
+            line.rsplit(" ", 1) for line in metrics.decode().splitlines()
+            if line and not line.startswith("#")
+        )
+        for kind, count in sent.items():
+            assert float(samples[f'repro_queries_total{{kind="{kind}"}}']) == count
+            assert float(
+                samples[f'repro_query_latency_micros_count{{kind="{kind}"}}']
+            ) == count
+        for field in COST_FIELDS:
+            exported = float(samples.get(f'repro_scan_cost_total{{counter="{field}"}}', 0))
+            assert exported == stats["counters"].get(field, 0), field
 
 
 class TestOnlineRoutes:

@@ -11,7 +11,7 @@ import pytest
 
 from repro.geometry import Point, Rect
 from repro.joins import box_join, radius_join
-from repro.serving import build_shards, open_sharded
+from repro.serving import LocalBackend, build_shards, open_sharded
 from repro.zindex import ZIndex
 
 
@@ -240,3 +240,28 @@ class TestDispatcherPlumbing:
         for entry in info:
             assert entry["store"] == "MmapColumnStore"
             assert all(entry["mapped"].values())
+
+
+class TestFailedScatter:
+    """A scatter that fails part-way leaves every backend in step."""
+
+    def test_local_backend_defers_errors_to_collect(self, pair):
+        _, sharded, _ = pair
+        backend = sharded._backends[0]
+        assert isinstance(backend, LocalBackend)
+        backend.submit("no_such_method")
+        with pytest.raises(ValueError):
+            backend.collect()
+        with pytest.raises(RuntimeError):
+            backend.collect()  # the failed request left nothing behind
+
+    def test_failure_on_a_later_shard_leaves_no_stale_reply(self, pair):
+        index, sharded, _ = pair
+        everything = np.array([[0.0, 0.0, 400.0, 400.0]])
+        with pytest.raises(ValueError):
+            sharded._scatter(
+                [(0, everything), (1, "not a window")], "batch_range_count"
+            )
+        for rect in (Rect(0, 0, 50, 50), Rect(100, 100, 300, 300)):
+            assert sharded.range_count(rect) == index.range_count(rect)
+

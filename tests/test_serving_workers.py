@@ -7,6 +7,9 @@ engine.  Plus the worker plumbing: pipelined requests, error replies,
 round-robin shard hosting, and clean shutdown.
 """
 
+import os
+import signal
+
 import numpy as np
 import pytest
 
@@ -141,6 +144,34 @@ class TestShardHost:
             with pytest.raises(RuntimeError):
                 host.receive()
 
+    def test_dead_worker_raises_serving_error_and_stays_failed(self, tmp_path):
+        index, _ = _build(n=300)
+        path = tmp_path / "s.zip"
+        save_snapshot(index, path)
+        with ShardHost([path]) as host:
+            os.kill(host.pid, signal.SIGKILL)
+            host._process.join(timeout=10.0)
+            with pytest.raises(ServingError) as first:
+                host.request(0, "num_points")
+            with pytest.raises(ServingError) as again:
+                host.request(0, "num_points")
+            assert str(again.value) == str(first.value)
+
+    def test_worker_dying_before_its_reply_raises_serving_error(self, tmp_path):
+        index, _ = _build(n=300)
+        path = tmp_path / "s.zip"
+        save_snapshot(index, path)
+        with ShardHost([path]) as host:
+            # Stopped, the worker never reads the request: it dies unanswered.
+            os.kill(host.pid, signal.SIGSTOP)
+            host.send(0, "num_points")
+            os.kill(host.pid, signal.SIGKILL)
+            host._process.join(timeout=10.0)
+            with pytest.raises(ServingError):
+                host.receive()
+            with pytest.raises(ServingError):
+                host.request(0, "num_points")
+
     def test_rss_probe(self, tmp_path):
         index, _ = _build(n=300)
         path = tmp_path / "s.zip"
@@ -194,8 +225,6 @@ class TestWorkerShardedIndex:
         pids = [host.pid for host in hosts]
         assert all(pid is not None for pid in pids)
         sharded.close()
-        import os
-
         for pid in pids:
             # After close+join the pid must no longer be a live child.
             try:
@@ -205,3 +234,15 @@ class TestWorkerShardedIndex:
             # Reaped zombies keep the pid visible briefly; waitpid confirms.
             done, _ = os.waitpid(pid, os.WNOHANG)
             assert done in (0, pid)
+
+
+class TestFailedScatterOverWorkers:
+    def test_rejected_method_leaves_the_pipes_in_sync(self, tmp_path):
+        index, _ = _build(n=2000)
+        build_shards(index, tmp_path / "shards", num_shards=4)
+        with open_sharded(tmp_path / "shards", workers=2) as sharded:
+            with pytest.raises(ServingError):
+                sharded._scatter([(i, None) for i in range(4)], "no_such_method")
+            for rect in (Rect(0, 0, 50, 50), Rect(20, 30, 200, 120)):
+                assert sharded.range_count(rect) == index.range_count(rect)
+

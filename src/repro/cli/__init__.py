@@ -20,8 +20,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import sys
 import time
+from contextlib import ExitStack
 from pathlib import Path
 from typing import List, Optional
 
@@ -84,8 +86,12 @@ def cmd_build(args) -> int:
 
 
 def _open_backend(path: Path, *, shards: int, workers: int, mmap: bool,
-                  record: bool, plan_cache: Optional[int]):
-    """A serving engine for a snapshot file or shard directory."""
+                  record: bool, plan_cache: Optional[int], cleanup: ExitStack):
+    """A serving engine for a snapshot file or shard directory.
+
+    A shard copy made for ``shards`` lives in a temporary directory that
+    ``cleanup`` removes.
+    """
     from repro.engine import SpatialEngine
 
     if not path.exists():
@@ -103,7 +109,9 @@ def _open_backend(path: Path, *, shards: int, workers: int, mmap: bool,
 
         from repro.serving import build_shards, open_sharded
 
-        shard_dir = Path(tempfile.mkdtemp(prefix="repro-shards-"))
+        shard_dir = Path(cleanup.enter_context(
+            tempfile.TemporaryDirectory(prefix="repro-shards-")
+        ))
         build_shards(path, shard_dir, shards)
         sharded = open_sharded(shard_dir, workers=workers, mmap=mmap)
         return SpatialEngine(sharded, record=record, plan_cache=cache)
@@ -111,12 +119,26 @@ def _open_backend(path: Path, *, shards: int, workers: int, mmap: bool,
 
 
 def cmd_serve(args) -> int:
+    with ExitStack() as cleanup:
+        # SIGTERM leaves through the same cleanup as Ctrl-C.
+        cleanup.callback(
+            signal.signal, signal.SIGTERM,
+            signal.signal(signal.SIGTERM, signal.default_int_handler),
+        )
+        return _serve(args, cleanup)
+
+
+def _serve(args, cleanup: ExitStack) -> int:
     from repro.service import ServiceServer, SpatialService
 
     engine = _open_backend(
         Path(args.path), shards=args.shards, workers=args.workers,
         mmap=args.mmap, record=args.record, plan_cache=args.plan_cache,
+        cleanup=cleanup,
     )
+    close = getattr(engine.index, "close", None)
+    if callable(close):
+        cleanup.callback(close)
     service = SpatialService(engine, record=args.record, verbose=not args.quiet)
     if args.online:
         from repro.online import MaintenancePolicy
@@ -140,10 +162,11 @@ def cmd_serve(args) -> int:
         mode = " online" if args.online else ""
         print(f"serving{mode} {engine.name} ({len(engine):,} points) at {server.url}",
               file=sys.stderr)
-    print(json.dumps({
-        "event": "ready", "url": server.url, "online": bool(args.online),
-    }, sort_keys=True), flush=True)
     try:
+        # Inside the try: a signal that follows the ready line is a clean exit.
+        print(json.dumps({
+            "event": "ready", "url": server.url, "online": bool(args.online),
+        }, sort_keys=True), flush=True)
         server.serve_forever()
     except KeyboardInterrupt:
         pass
@@ -151,9 +174,6 @@ def cmd_serve(args) -> int:
         server.close()
         if args.online:
             engine.offline()
-        close = getattr(engine.index, "close", None)
-        if callable(close):
-            close()
     return 0
 
 

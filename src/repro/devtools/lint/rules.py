@@ -131,7 +131,7 @@ def check_mutation_must_invalidate(ctx: ModuleContext) -> Iterator[Finding]:
                         )
         if assigns_packed_sentinel:
             # Dropping the packed cache (self._packed = None) is itself the
-            # invalidation LeafList.append/splice use.
+            # invalidation LeafList.append/splice_span use.
             continue
         for target, what in mutations:
             yield ctx.finding(
@@ -271,7 +271,7 @@ def check_error_taxonomy(ctx: ModuleContext) -> Iterator[Finding]:
 # ---------------------------------------------------------------------------
 
 _BOXER_NAME_PARTS = ("box", "points")
-_BOXER_EXEMPT = {"__iter__", "__init__", "filter_range"}
+_BOXER_EXEMPT = {"__iter__", "__init__"}
 
 
 def _is_boxer(name: str) -> bool:

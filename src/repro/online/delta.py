@@ -60,9 +60,11 @@ class DeltaView:
     Produced by :meth:`DeltaBuffer.freeze` at the start of a compaction:
     the frozen rows keep serving merged queries while the merge builds the
     replacement index aside, and new writes land in a fresh active buffer.
+    ``first_write_monotonic`` is the frozen buffer's age clock, kept so a
+    rolled-back compaction restores the age of its writes.
     """
 
-    __slots__ = ("xs", "ys", "tomb_x", "tomb_y", "bbox")
+    __slots__ = ("xs", "ys", "tomb_x", "tomb_y", "bbox", "first_write_monotonic")
 
     def __init__(
         self,
@@ -71,6 +73,7 @@ class DeltaView:
         tomb_x: np.ndarray,
         tomb_y: np.ndarray,
         bbox: Optional[Tuple[float, float, float, float]],
+        first_write_monotonic: Optional[float] = None,
     ) -> None:
         for array in (xs, ys, tomb_x, tomb_y):
             array.setflags(write=False)
@@ -79,6 +82,7 @@ class DeltaView:
         self.tomb_x = tomb_x
         self.tomb_y = tomb_y
         self.bbox = bbox
+        self.first_write_monotonic = first_write_monotonic
 
     @property
     def live_count(self) -> int:
@@ -280,7 +284,7 @@ class DeltaBuffer:
         return DeltaView(
             xs.copy(), ys.copy(),
             self._tx[:self._tn].copy(), self._ty[:self._tn].copy(),
-            self._bbox,
+            self._bbox, self.first_write_monotonic,
         )
 
     @classmethod
@@ -289,24 +293,32 @@ class DeltaBuffer:
 
         Used to roll a failed compaction back: the frozen view becomes
         plain buffered writes again, ahead of everything recorded since
-        the freeze, so no acknowledged write is ever lost.
+        the freeze, so no acknowledged write is ever lost.  The restored
+        age clock is the older of the two, so the age trigger still sees
+        the frozen writes.
         """
         restored = cls()
-        for x, y in zip(frozen.xs, frozen.ys):
-            restored.append(float(x), float(y))
-        for x, y in zip(frozen.tomb_x, frozen.tomb_y):
-            restored.tombstone(float(x), float(y))
         ax, ay = active.live_xy()
-        for x, y in zip(ax, ay):
-            restored.append(float(x), float(y))
         tx, ty = active.tombstone_xy()
-        for x, y in zip(tx, ty):
-            restored.tombstone(float(x), float(y))
-        restored.first_write_monotonic = (
-            active.first_write_monotonic
-            if active.first_write_monotonic is not None
-            else restored.first_write_monotonic
-        )
+        xs = np.concatenate((frozen.xs, ax))
+        ys = np.concatenate((frozen.ys, ay))
+        n = int(xs.shape[0])
+        restored._x, restored._y = xs, ys
+        restored._alive = np.ones(n, dtype=bool)
+        restored._n = restored._live = n
+        restored._tx = np.concatenate((frozen.tomb_x, tx))
+        restored._ty = np.concatenate((frozen.tomb_y, ty))
+        restored._tn = int(restored._tx.shape[0])
+        if n:
+            restored._bbox = (
+                float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max())
+            )
+        clocks = [
+            clock for clock in (frozen.first_write_monotonic, active.first_write_monotonic)
+            if clock is not None
+        ]
+        restored.first_write_monotonic = min(clocks) if clocks else None
+        restored.version = n + restored._tn
         return restored
 
     def __repr__(self) -> str:

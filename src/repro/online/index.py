@@ -455,29 +455,7 @@ class OnlineIndex(SpatialIndex):
     def _merge_into_clone(base_state, frozen: DeltaView) -> SpatialIndex:
         """An O(n) copy-on-write clone of the base absorbing the frozen delta."""
         clone = ZIndex.from_snapshot_state(base_state, validate=False)
-        extent = clone.extent()
-        inside = extent is not None and bool(
-            np.all(
-                (frozen.xs >= extent.xmin) & (frozen.xs <= extent.xmax)
-                & (frozen.ys >= extent.ymin) & (frozen.ys <= extent.ymax)
-            )
-        )
-        if inside or frozen.live_count == 0:
-            for x, y in zip(frozen.xs, frozen.ys):
-                clone.insert(Point(float(x), float(y)))
-        else:
-            # Out-of-extent inserts would each trigger a full rebuild on the
-            # incremental path; batch them into one rebuild instead.
-            points = clone.all_points()
-            points.extend(Point(float(x), float(y)) for x, y in zip(frozen.xs, frozen.ys))
-            clone._points = points
-            for x, y in zip(frozen.xs, frozen.ys):
-                grown = clone._extent
-                clone._extent = (
-                    Rect(float(x), float(y), float(x), float(y))
-                    if grown is None else grown.expand_to_point(Point(float(x), float(y)))
-                )
-            clone._build()
+        clone.insert_many(frozen.xs, frozen.ys)
         for x, y in zip(frozen.tomb_x, frozen.tomb_y):
             clone.delete(Point(float(x), float(y)))
         return clone

@@ -13,7 +13,7 @@ order.  This subpackage provides
   page + next pointer + the four look-ahead pointers of Section 5),
 * :class:`~repro.storage.leaflist.LeafList` — the ordered collection of leaf
   entries with helpers for scans, size accounting, consistency checks, an
-  incremental :meth:`~repro.storage.leaflist.LeafList.splice` repair,
+  incremental :meth:`~repro.storage.leaflist.LeafList.splice_span` repair,
 * :class:`~repro.storage.leaflist.PackedLeaves` — the packed per-leaf
   metadata (one ``(n, 4)`` bbox array plus int64 pointer arrays) the
   vectorized projection phase operates on, and

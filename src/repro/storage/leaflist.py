@@ -356,11 +356,6 @@ class LeafList:
         """Total number of points stored across all leaves."""
         return sum(entry.num_points for entry in self.entries)
 
-    def iter_range(self, low: int, high: int) -> Iterator[LeafEntry]:
-        """Iterate leaves with order in ``[low, high]`` inclusive."""
-        for index in range(max(low, 0), min(high, len(self.entries) - 1) + 1):
-            yield self.entries[index]
-
     def all_points(self) -> List[Point]:
         """Every stored point in curve order (page order within a leaf)."""
         points: List[Point] = []
@@ -393,54 +388,18 @@ class LeafList:
             self._packed.refresh(index, self.entries[index])
 
     # -- incremental structural repair ------------------------------------
-    def splice(self, index: int, replacements: Sequence[LeafEntry]) -> None:
-        """Replace the entry at ``index`` with ``replacements`` in place.
-
-        Repairs orders, next pointers, look-ahead pointer *targets* (shifted
-        by the size delta) and the ``leaf_index`` of back-referenced tree
-        nodes for the unchanged suffix.  Look-ahead pointers of the prefix
-        and of the new entries are left for the caller to recompute (they
-        can legitimately point into the replaced region); see
-        :func:`repro.zindex.skipping.repair_lookahead_pointers`.
-        """
-        if not replacements:
-            raise ValueError("splice requires at least one replacement entry")
-        shift = len(replacements) - 1
-        entries = self.entries
-        entries[index : index + 1] = list(replacements)
-        n = len(entries)
-        for position in range(index, n):
-            entry = entries[position]
-            entry.order = position
-            entry.next_index = position + 1 if position + 1 < n else END_OF_LIST
-            node = entry.node
-            if node is not None:
-                node.leaf_index = position
-        if shift:
-            # Suffix pointers only ever aim forward (targets were > index in
-            # the old numbering), so a uniform shift keeps them valid.
-            for position in range(index + len(replacements), n):
-                entry = entries[position]
-                if entry.below != END_OF_LIST:
-                    entry.below += shift
-                if entry.above != END_OF_LIST:
-                    entry.above += shift
-                if entry.left != END_OF_LIST:
-                    entry.left += shift
-                if entry.right != END_OF_LIST:
-                    entry.right += shift
-        self._packed = None
-
     def splice_span(self, low: int, high: int, replacements: Sequence[LeafEntry]) -> None:
         """Replace the contiguous span ``[low, high]`` with ``replacements``.
 
-        The span generalization of :meth:`splice`, used by incremental
-        subtree re-derive: a subtree's leaves occupy a contiguous run of
-        the curve-ordered list, and the rebuilt subtree's leaves take their
-        place in one structural edit.  The same pointer invariants apply —
-        suffix look-ahead targets always aimed *past* ``high`` (pointers
-        only ever go forward), so they survive under a uniform shift, while
-        prefix and replacement pointers are left for
+        The structural edit of a leaf split (``low == high``) and of an
+        incremental subtree re-derive: a subtree's leaves occupy a
+        contiguous run of the curve-ordered list, and the rebuilt subtree's
+        leaves take their place in one edit.  Repairs orders, next pointers
+        and the ``leaf_index`` of back-referenced tree nodes.  Suffix
+        look-ahead targets always aimed *past* ``high`` (pointers only ever
+        go forward), so they survive under a uniform shift; prefix and
+        replacement pointers can legitimately point into the replaced run
+        and are left for
         :func:`repro.zindex.skipping.repair_lookahead_pointers`.
         """
         if not replacements:

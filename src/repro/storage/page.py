@@ -9,12 +9,11 @@ WaZI cost model minimises.
 Storage layout
 --------------
 Points are stored *columnar*: two contiguous ``float64`` NumPy arrays hold
-the x and y coordinates in insertion (curve) order.  The filtering step of
-Algorithm 2 therefore runs as a handful of vectorized comparisons over the
-whole page instead of a per-point Python loop, and the coordinate columns
-can be handed to callers (:class:`~repro.storage.LeafList`, the Z-index's
-flat scan cache) without re-boxing every point into a
-:class:`~repro.geometry.Point`.
+the x and y coordinates in insertion (curve) order.  The coordinate
+columns are handed to callers (:class:`~repro.storage.LeafList`, the
+Z-index's flat scan cache) without re-boxing every point into a
+:class:`~repro.geometry.Point`, so the filtering step of Algorithm 2 runs as
+vectorized comparisons over the flat columns gathered from the pages.
 
 The page keeps the same logical interface as a list-of-points container —
 ``add`` / ``remove`` / iteration yield :class:`Point` objects — so callers
@@ -242,7 +241,11 @@ class Page:
 
     # -- mutation ---------------------------------------------------------
     def add(self, point: Point) -> None:
-        """Append a point, growing the bounding box.
+        """Append a point, growing the bounding box (see :meth:`add_xy`)."""
+        self.add_xy(float(point.x), float(point.y))
+
+    def add_xy(self, x: float, y: float) -> None:
+        """Append the row ``(x, y)``, growing the bounding box.
 
         Raises :class:`PageOverflowError` when the page is already full; the
         caller (leaf node) is responsible for splitting.
@@ -253,8 +256,6 @@ class Page:
             )
         if not self._owned:
             self._promote()
-        x = float(point.x)
-        y = float(point.y)
         index = self._n
         self._xs[index] = x
         self._ys[index] = y
@@ -310,32 +311,6 @@ class Page:
         self._bymax = float(ys.max())
 
     # -- queries ----------------------------------------------------------
-    def range_mask(self, query: Rect) -> np.ndarray:
-        """Boolean mask over the page's points selecting those inside ``query``."""
-        return query.contains_arrays(self._xs[: self._n], self._ys[: self._n])
-
-    def filter_range(self, query: Rect) -> List[Point]:
-        """Return the points on this page that fall inside ``query``.
-
-        This is the ``Filter(P)`` step of Algorithm 2 in the paper: every
-        point on the page is compared against the query rectangle — here as
-        four vectorized comparisons over the coordinate columns.
-        """
-        if self._n == 0:
-            return []
-        mask = self.range_mask(query)
-        if not mask.any():
-            return []
-        sel_x = self._xs[: self._n][mask].tolist()
-        sel_y = self._ys[: self._n][mask].tolist()
-        return [Point(x, y) for x, y in zip(sel_x, sel_y)]
-
-    def count_in_range(self, query: Rect) -> int:
-        """Number of stored points inside ``query`` without materialising them."""
-        if self._n == 0:
-            return 0
-        return int(self.range_mask(query).sum())
-
     def contains_exact(self, point: Point) -> bool:
         """Exact-match lookup used by point queries."""
         n = self._n

@@ -43,7 +43,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.evaluation.metrics import PhaseTimer
-from repro.geometry import Point, Rect, bounding_box, points_from_arrays, points_to_arrays
+from repro.geometry import Point, Rect, points_from_arrays, points_to_arrays
 from repro.interfaces import SpatialIndex, require_finite_center, require_valid_radius
 from repro.kernels import get_kernels
 from repro.results import ResultSet
@@ -148,9 +148,11 @@ class ZIndex(SpatialIndex):
         self.use_skipping = use_skipping
         self.split_strategy = split_strategy or MedianSplitStrategy()
         self.phase_timer: Optional[PhaseTimer] = None
-        self._points = [Point(float(p.x), float(p.y)) if not isinstance(p, Point) else p
-                        for p in points]
-        self._extent = bounding_box(self._points) if self._points else None
+        xs, ys = points_to_arrays(list(points))
+        self._extent = (
+            Rect(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+            if xs.size else None
+        )
         self.leaflist = LeafList()
         self.root: Optional[ZNode] = None
         # Flat columnar scan cache: every page's coordinate columns
@@ -174,38 +176,36 @@ class ZIndex(SpatialIndex):
         self._mask_a: Optional[np.ndarray] = None
         self._mask_b: Optional[np.ndarray] = None
         self._has_nonmonotone_ordering = False
-        self._build()
-
-    # The dataset as a boxed Point list, used by the update/rebuild paths.
-    # Stored lazily: a snapshot load leaves it unmaterialised and the first
-    # accessor rebuilds it from the pages, so loading never pays a Python
-    # boxing loop up front.
-    @property
-    def _points(self) -> List[Point]:
-        if self._points_list is None:
-            self._points_list = self.leaflist.all_points()
-        return self._points_list
-
-    @_points.setter
-    def _points(self, value: List[Point]) -> None:
-        self._points_list = value
+        self._build(xs, ys)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
-    def _build(self) -> None:
+    def _build(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Build the tree and leaf list over the coordinate columns, in ``self._extent``."""
         self._invalidate_flat()
         self._has_nonmonotone_ordering = False
-        if not self._points:
+        if xs.size == 0:
             self.root = None
             self.leaflist = LeafList()
             return
-        xs, ys = points_to_arrays(self._points)
-        array = np.empty((len(self._points), 2), dtype=np.float64)
-        array[:, 0] = xs
-        array[:, 1] = ys
-        self.root = self._build_node(self._extent, array, depth=0)
+        self.root = self._build_node(self._extent, np.column_stack((xs, ys)), depth=0)
         self._rebuild_leaflist()
+
+    def _rebuild_with(self, xs: np.ndarray, ys: np.ndarray) -> None:
+        """Rebuild over the current points plus the rows, the extent grown to cover them.
+
+        The path for rows outside the root cell: inserting them into a leaf
+        whose cell does not contain them would leave them where no query
+        descent could ever find them again.
+        """
+        grown = Rect(float(xs.min()), float(ys.min()), float(xs.max()), float(ys.max()))
+        self._extent = grown if self._extent is None else self._extent.union(grown)
+        if self.root is not None:
+            flat_x, flat_y, _ = self._flat_columns()
+            xs = np.concatenate((flat_x, xs))
+            ys = np.concatenate((flat_y, ys))
+        self._build(xs, ys)
 
     def _build_node(self, cell: Rect, array: np.ndarray, depth: int) -> ZNode:
         n = array.shape[0]
@@ -252,27 +252,29 @@ class ZIndex(SpatialIndex):
 
     def _rebuild_leaflist(self) -> None:
         """Recreate the LeafList (and skip pointers) from the current tree."""
-        self.leaflist = LeafList()
-        for leaf in iter_leaves_in_curve_order(self.root):
-            page = getattr(leaf, "_pending_page", None)
-            if page is None:
-                # Leaf already had an entry in a previous list: reuse its page.
-                page = self._page_of_existing_leaf(leaf)
-            entry = LeafEntry(cell=leaf.cell, page=page, node=leaf)
-            leaf.leaf_index = self.leaflist.append(entry)
-            if hasattr(leaf, "_pending_page"):
-                del leaf._pending_page
-            leaf._entry = entry  # type: ignore[attr-defined]
+        self.leaflist = LeafList.from_entries(self._leaf_entries(self.root))
         if self.use_skipping:
             build_lookahead_pointers(self.leaflist)
         self._invalidate_flat()
 
     @staticmethod
-    def _page_of_existing_leaf(leaf: LeafNode) -> Page:
-        entry = getattr(leaf, "_entry", None)
-        if entry is None:
-            raise RuntimeError("Leaf node has neither a pending page nor an existing entry")
-        return entry.page
+    def _leaf_entries(node: Optional[ZNode]) -> List[LeafEntry]:
+        """One fresh entry per leaf under ``node``, in curve order.
+
+        A leaf built since the last list takes its pending page; any other
+        leaf keeps the page of its existing entry.
+        """
+        entries: List[LeafEntry] = []
+        for leaf in iter_leaves_in_curve_order(node):
+            page = getattr(leaf, "_pending_page", None)
+            if page is None:
+                page = leaf._entry.page  # type: ignore[attr-defined]
+            else:
+                del leaf._pending_page  # type: ignore[attr-defined]
+            entry = LeafEntry(cell=leaf.cell, page=page, node=leaf)
+            leaf._entry = entry  # type: ignore[attr-defined]
+            entries.append(entry)
+        return entries
 
     # ------------------------------------------------------------------
     # flat scan cache
@@ -881,38 +883,52 @@ class ZIndex(SpatialIndex):
         """Insert a point, splitting the enclosing leaf when its page overflows.
 
         A point outside the root cell triggers a rebuild over the expanded
-        extent: simply growing ``self._extent`` would leave the point in a
-        leaf whose cell does not contain it, where no query descent could
-        ever find it again.
+        extent (:meth:`_rebuild_with`).
         """
-        if self.root is None:
-            self._points = [point]
-            self._extent = Rect(point.x, point.y, point.x, point.y)
-            self._build()
+        x = float(point.x)
+        y = float(point.y)
+        if self.root is None or not self.root.cell.contains_xy(x, y):
+            self._rebuild_with(np.array([x]), np.array([y]))
             return
-        if not self.root.cell.contains_xy(point.x, point.y):
-            self._points.append(point)
-            self._extent = (
-                self._extent.expand_to_point(point)
-                if self._extent is not None
-                else Rect(point.x, point.y, point.x, point.y)
-            )
-            self._build()
+        self._insert_in_cell(x, y)
+
+    def insert_many(self, xs, ys) -> None:
+        """Insert the rows of two coordinate columns.
+
+        When every row lies inside the root cell, each takes :meth:`insert`'s
+        in-place path in order, so the layout is that of inserting them one
+        at a time.  Otherwise one rebuild absorbs them all and grows the
+        extent once, instead of once per outside row.
+        """
+        xs = np.asarray(xs, dtype=np.float64)
+        ys = np.asarray(ys, dtype=np.float64)
+        if xs.size == 0:
             return
-        self._points.append(point)
-        if self._extent is not None:
-            self._extent = self._extent.expand_to_point(point)
-        leaf, parent, quadrant = self._descend_with_parent(point.x, point.y)
+        if self.root is None or not self.root.cell.contains_arrays(xs, ys).all():
+            self._rebuild_with(xs, ys)
+            return
+        for x, y in zip(xs.tolist(), ys.tolist()):
+            self._insert_in_cell(x, y)
+
+    def _insert_in_cell(self, x: float, y: float) -> None:
+        """Insert one row that lies inside the root cell.
+
+        The extent needs no update: it equals the root cell, which only a
+        rebuild replaces.
+        """
+        leaf, parent, quadrant = self._descend_with_parent(x, y)
         entry = self.leaflist[leaf.leaf_index]
         if not entry.page.is_full:
             bbox_before = entry.page.bbox_tuple()
-            entry.page.add(point)
+            entry.page.add_xy(x, y)
             self.leaflist.refresh_entry(leaf.leaf_index)
             if self.use_skipping and entry.page.bbox_tuple() != bbox_before:
                 refresh_lookahead_for_leaf(self.leaflist, leaf.leaf_index)
             self._invalidate_flat()
             return
-        self._split_leaf(leaf, parent, quadrant, point)
+        page = entry.page
+        array = np.column_stack((np.append(page.xs, x), np.append(page.ys, y)))
+        self._splice_subtree(leaf.cell, array, parent, quadrant, leaf.leaf_index, leaf.leaf_index)
 
     def _descend_with_parent(self, x: float, y: float):
         node = self.root
@@ -924,42 +940,37 @@ class ZIndex(SpatialIndex):
             node = node.children[quadrant]
         return node, parent, quadrant
 
-    def _split_leaf(
-        self, leaf: LeafNode, parent: Optional[InternalNode], quadrant: int, new_point: Point
-    ) -> None:
-        """Split an overflowing leaf and repair the LeafList incrementally.
+    def _splice_subtree(
+        self,
+        cell: Rect,
+        array: np.ndarray,
+        parent: Optional[InternalNode],
+        quadrant: int,
+        low: int,
+        high: int,
+    ) -> int:
+        """Build a subtree over ``array`` in ``cell`` and splice it in for leaves ``[low, high]``.
 
-        Only the replaced subtree's entries are rebuilt; the rest of the
-        list is renumbered/spliced in place and the look-ahead pointers are
-        recomputed for the prefix only (the suffix pointers survive the
-        splice unchanged modulo an index shift).  The seed implementation
-        rebuilt the entire LeafList per overflow, making N inserts O(N^2).
+        The shared step of a leaf split and a subtree re-derive.  Only the
+        replaced run of the LeafList is rebuilt: the suffix is renumbered
+        in place and the look-ahead pointers are recomputed for the prefix
+        and the new leaves only (the suffix pointers survive the splice
+        under an index shift).  ``parent`` is the replaced node's parent
+        (``None`` for the root) and ``quadrant`` its child slot there.
+
+        Returns the number of leaves spliced in.
         """
-        index = leaf.leaf_index
-        entry = self.leaflist[index]
-        page = entry.page
-        n = len(page)
-        array = np.empty((n + 1, 2), dtype=np.float64)
-        array[:n, 0] = page.xs
-        array[:n, 1] = page.ys
-        array[n, 0] = float(new_point.x)
-        array[n, 1] = float(new_point.y)
-        replacement = self._build_node(leaf.cell, array, depth=0)
+        replacement = self._build_node(cell, array, depth=0)
         if parent is None:
             self.root = replacement
         else:
             parent.children[quadrant] = replacement
-        new_entries: List[LeafEntry] = []
-        for new_leaf in iter_leaves_in_curve_order(replacement):
-            new_page = new_leaf._pending_page  # type: ignore[attr-defined]
-            del new_leaf._pending_page  # type: ignore[attr-defined]
-            new_entry = LeafEntry(cell=new_leaf.cell, page=new_page, node=new_leaf)
-            new_leaf._entry = new_entry  # type: ignore[attr-defined]
-            new_entries.append(new_entry)
-        self.leaflist.splice(index, new_entries)
+        entries = self._leaf_entries(replacement)
+        self.leaflist.splice_span(low, high, entries)
         if self.use_skipping:
-            repair_lookahead_pointers(self.leaflist, index, len(new_entries))
+            repair_lookahead_pointers(self.leaflist, low, len(entries))
         self._invalidate_flat()
+        return len(entries)
 
     def rederive_subtree(
         self,
@@ -977,10 +988,9 @@ class ZIndex(SpatialIndex):
         scan cost regressed is re-derived — its points are gathered from
         the contiguous run of curve-ordered leaves it owns, rebuilt with
         ``split_strategy``/``leaf_capacity`` scoped to this call, and the
-        new leaves replace the old run via
-        :meth:`~repro.storage.LeafList.splice_span`.  ``parent`` is the
-        subtree's parent node (``None`` when ``node`` is the root) and
-        ``quadrant`` its child slot in ``parent``.
+        new leaves replace the old run (:meth:`_splice_subtree`).
+        ``parent`` is the subtree's parent node (``None`` when ``node`` is
+        the root) and ``quadrant`` its child slot in ``parent``.
 
         Returns the number of leaves in the re-derived subtree.
         """
@@ -991,15 +1001,11 @@ class ZIndex(SpatialIndex):
         high = leaves[-1].leaf_index
         if [leaf.leaf_index for leaf in leaves] != list(range(low, high + 1)):
             raise AssertionError("subtree leaves are not a contiguous curve-order span")
-        total = sum(self.leaflist[i].num_points for i in range(low, high + 1))
-        array = np.empty((total, 2), dtype=np.float64)
-        offset = 0
-        for i in range(low, high + 1):
-            page = self.leaflist[i].page
-            n = len(page)
-            array[offset : offset + n, 0] = page.xs
-            array[offset : offset + n, 1] = page.ys
-            offset += n
+        pages = [self.leaflist[i].page for i in range(low, high + 1)]
+        array = np.column_stack((
+            np.concatenate([page.xs for page in pages]),
+            np.concatenate([page.ys for page in pages]),
+        ))
         saved_strategy = self.split_strategy
         saved_capacity = self.leaf_capacity
         try:
@@ -1007,26 +1013,10 @@ class ZIndex(SpatialIndex):
                 self.split_strategy = split_strategy
             if leaf_capacity is not None:
                 self.leaf_capacity = leaf_capacity
-            replacement = self._build_node(node.cell, array, depth=0)
+            return self._splice_subtree(node.cell, array, parent, quadrant, low, high)
         finally:
             self.split_strategy = saved_strategy
             self.leaf_capacity = saved_capacity
-        if parent is None:
-            self.root = replacement
-        else:
-            parent.children[quadrant] = replacement
-        new_entries: List[LeafEntry] = []
-        for new_leaf in iter_leaves_in_curve_order(replacement):
-            new_page = new_leaf._pending_page  # type: ignore[attr-defined]
-            del new_leaf._pending_page  # type: ignore[attr-defined]
-            new_entry = LeafEntry(cell=new_leaf.cell, page=new_page, node=new_leaf)
-            new_leaf._entry = new_entry  # type: ignore[attr-defined]
-            new_entries.append(new_entry)
-        self.leaflist.splice_span(low, high, new_entries)
-        if self.use_skipping:
-            repair_lookahead_pointers(self.leaflist, low, len(new_entries))
-        self._invalidate_flat()
-        return len(new_entries)
 
     def delete(self, point: Point) -> bool:
         """Delete one occurrence of ``point``; merges underfull sibling leaves.
@@ -1044,10 +1034,6 @@ class ZIndex(SpatialIndex):
         bbox_before = entry.page.bbox_tuple()
         removed = entry.page.remove(point)
         if removed:
-            try:
-                self._points.remove(point)
-            except ValueError:
-                pass
             self.leaflist.refresh_entry(leaf.leaf_index)
             if self.use_skipping and entry.page.bbox_tuple() != bbox_before:
                 refresh_lookahead_for_leaf(self.leaflist, leaf.leaf_index)
@@ -1344,8 +1330,8 @@ class ZIndex(SpatialIndex):
         # Install the coordinate columns as the live scan cache, owned by a
         # column store (the caller's — e.g. mmap-backed — or a fresh
         # in-memory store adopting the snapshot arrays); the boxed Point
-        # objects (result materialisation, the `_points` dataset list) stay
-        # lazy so the load itself is pure array bookkeeping.
+        # objects of result materialisation stay lazy so the load itself is
+        # pure array bookkeeping.
         if store is None:
             store = MemoryColumnStore.from_arrays({
                 "flat_x": flat_x,
@@ -1367,7 +1353,6 @@ class ZIndex(SpatialIndex):
         index._mask_a = None
         index._mask_b = None
         index._flat_generation = 0
-        index._points_list = None
         if state.num_points not in (None, total):
             raise ValueError(
                 f"snapshot manifest claims {state.num_points} points, arrays hold {total}"

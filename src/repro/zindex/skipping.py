@@ -114,10 +114,10 @@ def build_lookahead_pointers(leaflist: LeafList) -> None:
 
 
 def repair_lookahead_pointers(leaflist: LeafList, start: int, num_new: int) -> None:
-    """Repair look-ahead pointers after a splice replaced one leaf.
+    """Repair look-ahead pointers after a splice replaced a run of leaves.
 
-    :meth:`~repro.storage.LeafList.splice` substituted the single entry at
-    ``start`` with ``num_new`` entries and already shifted the pointer
+    :meth:`~repro.storage.LeafList.splice_span` substituted the run starting
+    at ``start`` with ``num_new`` entries and already shifted the pointer
     *targets* of the unchanged suffix.  This repairs the rest incrementally:
 
     1. pointers of the ``num_new`` new entries are built with the backward

@@ -6,8 +6,10 @@ blocks — is exercised once as a real subprocess, the way wrappers use it.
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import tempfile
 import time
 import urllib.request
 from pathlib import Path
@@ -252,3 +254,38 @@ def test_serve_online_rejects_sharded_backend(tmp_path, capsys):
     err = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert err["event"] == "error"
     assert "--online" in err["message"]
+
+
+def test_serve_refusal_removes_shard_copy_and_restores_sigterm(
+    snapshot, tmp_path, monkeypatch, capsys
+):
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    handler = signal.getsignal(signal.SIGTERM)
+    code = main(["serve", str(snapshot), "--port", "0", "--quiet",
+                 "--online", "--shards", "2"])
+    assert code == 2
+    assert list(tmp_path.glob("repro-shards-*")) == []
+    assert signal.getsignal(signal.SIGTERM) is handler
+
+
+def test_serve_sharded_removes_its_shard_copy_on_sigterm(snapshot, tmp_path):
+    tmpdir = tmp_path / "tmp"
+    tmpdir.mkdir()
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(ROOT / "src")
+    env["TMPDIR"] = str(tmpdir)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", str(snapshot),
+         "--port", "0", "--quiet", "--shards", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True, env=env,
+    )
+    try:
+        assert json.loads(proc.stdout.readline())["event"] == "ready"
+        assert len(list(tmpdir.glob("repro-shards-*"))) == 1
+    finally:
+        proc.terminate()
+        code = proc.wait(timeout=30)
+        proc.stdout.close()
+    # SIGTERM leaves through the serve loop's cleanup, like Ctrl-C
+    assert code == 0
+    assert list(tmpdir.glob("repro-shards-*")) == []

@@ -131,6 +131,12 @@ class TestFreeze:
         assert view.live_count == 1
         assert view.tombstone_count == 0
 
+    def test_freeze_carries_the_age_clock(self, buffer):
+        assert buffer.freeze().first_write_monotonic is None
+        buffer.append(0.3, 0.3, clock=4.0)
+        buffer.tombstone(0.6, 0.6, clock=5.0)
+        assert buffer.freeze().first_write_monotonic == 4.0
+
     def test_view_window_reads(self, buffer):
         buffer.append(0.2, 0.2)
         buffer.append(0.8, 0.8)
@@ -158,8 +164,8 @@ class TestRollbackMerge:
         assert xs.tolist() == [0.1, 0.2]
         tx, _ty = restored.tombstone_xy()
         assert tx.tolist() == [0.5, 0.6]
-        # the age trigger keeps firing off the still-buffered writes
-        assert restored.first_write_monotonic == 2.0
+        # the restored writes keep the age of the oldest one
+        assert restored.first_write_monotonic == 1.0
 
     def test_merged_with_empty_active(self):
         first = DeltaBuffer()
@@ -169,3 +175,8 @@ class TestRollbackMerge:
         assert restored.tombstone_count == 0
         xs, ys = restored.live_xy()
         assert xs.tolist() == [0.4] and ys.tolist() == [0.4]
+        assert restored.bbox == (0.4, 0.4, 0.4, 0.4)
+        # the age trigger still sees the frozen write
+        assert restored.first_write_monotonic == 7.0
+        restored.append(0.9, 0.1)
+        assert restored.live_xy()[0].tolist() == [0.4, 0.9]

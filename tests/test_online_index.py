@@ -4,6 +4,8 @@ write."""
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -234,6 +236,20 @@ class TestCompaction:
         assert online.delta_age_seconds() >= 0.0
         online.compact()
         assert online.delta_age_seconds() == 0.0
+
+    def test_failed_compaction_keeps_the_age_of_its_writes(self, online, monkeypatch):
+        online.insert(Point(0.4, 0.4))
+        time.sleep(0.02)
+
+        def exploding(base_state, frozen):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(online, "_merge_into_clone", exploding)
+        with pytest.raises(RuntimeError):
+            online.compact()
+        # the rolled-back write is still 20 ms old, so the age trigger retries it
+        assert online.delta_age_seconds() >= 0.02
+        assert online.delta_stats()["live"] == 1
 
 
 class TestRebuild:

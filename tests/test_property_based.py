@@ -216,6 +216,29 @@ class TestIndexProperties:
         box = bounding_box(everything)
         got = sorted((p.x, p.y) for p in index.range_query(box))
         assert got == sorted((p.x, p.y) for p in everything)
+        # insert_many: the scalar layout when every row lies inside the root
+        # cell; otherwise a single rebuild that answers like a fresh build
+        batched = BaseZIndex(initial, leaf_capacity=8)
+        builds = []
+        build = batched._build
+        batched._build = lambda xs, ys: (builds.append(len(xs)), build(xs, ys))
+        batched.insert_many([p.x for p in inserts], [p.y for p in inserts])
+        if all(bounding_box(initial).contains_point(p) for p in inserts):
+            reference = index
+            assert builds == []
+        else:
+            reference = BaseZIndex(everything, leaf_capacity=8)
+            assert builds == [len(everything)]
+        assert batched.extent() == reference.extent()
+        assert batched.leaf_sizes() == reference.leaf_sizes()
+        assert batched.leaflist.check_linked()
+        queries = [box, Rect(20.0, 20.0, 60.0, 60.0), Rect(0.0, 50.0, 50.0, 100.0)]
+        for target in (batched, reference):
+            target.counters.reset()
+        for query in queries:
+            got = sorted((p.x, p.y) for p in batched.range_query(query))
+            assert got == sorted((p.x, p.y) for p in reference.range_query(query))
+        assert batched.counters.snapshot() == reference.counters.snapshot()
 
 
 # --------------------------------------------------------------------------

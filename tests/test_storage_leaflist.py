@@ -74,15 +74,6 @@ class TestLeafList:
     def test_num_points(self):
         assert self.build_list(4).num_points == 4
 
-    def test_iter_range_inclusive(self):
-        leaflist = self.build_list(6)
-        selected = list(leaflist.iter_range(1, 3))
-        assert [entry.order for entry in selected] == [1, 2, 3]
-
-    def test_iter_range_clamps_bounds(self):
-        leaflist = self.build_list(3)
-        assert [e.order for e in leaflist.iter_range(-5, 99)] == [0, 1, 2]
-
     def test_all_points_in_order(self):
         leaflist = self.build_list(3)
         assert leaflist.all_points() == [Point(0.5, 0.5), Point(1.5, 0.5), Point(2.5, 0.5)]
@@ -147,7 +138,7 @@ class TestPackedLeaves:
             make_entry(2.0, 0, 2.5, 1, [Point(2.2, 0.5)]),
             make_entry(2.5, 0, 3.0, 1, [Point(2.7, 0.5)]),
         ]
-        leaflist.splice(2, replacements)
+        leaflist.splice_span(2, 2, replacements)
         assert len(leaflist) == 6
         assert leaflist.check_linked()
         # Suffix pointers (old targets 5/EOL, > spliced index) shifted by +1.
@@ -157,4 +148,4 @@ class TestPackedLeaves:
     def test_splice_requires_replacements(self):
         leaflist = self.build_list(3)
         with pytest.raises(ValueError):
-            leaflist.splice(1, [])
+            leaflist.splice_span(1, 1, [])

@@ -35,6 +35,19 @@ class TestPageBasics:
         with pytest.raises(PageOverflowError):
             page.add(Point(2, 2))
 
+    def test_add_xy_matches_add(self):
+        by_point = Page(4)
+        by_row = Page(4)
+        for x, y in [(1.0, 1.0), (-1.0, 3.0), (0.5, 2.0)]:
+            by_point.add(Point(x, y))
+            by_row.add_xy(x, y)
+        assert list(by_row) == list(by_point)
+        assert by_row.bbox == by_point.bbox == Rect(-1, 1, 1, 3)
+        by_row.add_xy(2.0, 0.0)
+        assert by_row.is_full
+        with pytest.raises(PageOverflowError):
+            by_row.add_xy(3.0, 3.0)
+
     def test_bbox_grows_with_adds(self):
         page = Page(8)
         page.add(Point(1, 1))
@@ -44,21 +57,6 @@ class TestPageBasics:
 
 
 class TestPageQueries:
-    def test_filter_range(self):
-        page = Page(8, [Point(0, 0), Point(2, 2), Point(5, 5)])
-        inside = page.filter_range(Rect(1, 1, 3, 3))
-        assert inside == [Point(2, 2)]
-
-    def test_filter_range_inclusive_boundaries(self):
-        page = Page(8, [Point(1, 1), Point(3, 3)])
-        assert len(page.filter_range(Rect(1, 1, 3, 3))) == 2
-
-    def test_count_in_range_matches_filter(self):
-        points = [Point(float(i), float(i % 3)) for i in range(8)]
-        page = Page(8, points)
-        query = Rect(2, 0, 6, 2)
-        assert page.count_in_range(query) == len(page.filter_range(query))
-
     def test_contains_exact(self):
         page = Page(4, [Point(1.5, 2.5)])
         assert page.contains_exact(Point(1.5, 2.5))
@@ -122,14 +120,6 @@ class TestColumnarPage:
         assert page.ys.tolist() == [2.0, 4.0]
         page.remove(Point(1.0, 2.0))
         assert page.xs.tolist() == [3.0]
-
-    def test_range_mask_matches_filter(self):
-        points = [Point(float(i), float(i % 4)) for i in range(12)]
-        page = Page(16, points)
-        query = Rect(2.0, 1.0, 9.0, 2.0)
-        mask = page.range_mask(query)
-        selected = [p for p, keep in zip(points, mask.tolist()) if keep]
-        assert selected == page.filter_range(query)
 
     def test_bbox_tuple(self):
         page = Page(4)

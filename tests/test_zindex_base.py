@@ -2,9 +2,11 @@
 
 import pytest
 
+from repro.core import WaZI
 from repro.geometry import Point, Rect
 from repro.interfaces import brute_force_range
 from repro.zindex import BaseZIndex, ZIndex, MidpointSplitStrategy
+from repro.zindex.node import InternalNode, iter_leaves_in_curve_order
 
 
 def result_set(points):
@@ -192,6 +194,83 @@ class TestUpdates:
         assert len(index.leaflist) <= leaves_before
         remaining = result_set(index.all_points())
         assert remaining == result_set(points[90:])
+
+    def test_insert_many_inside_root_cell_matches_scalar_inserts(
+        self, clustered_points, small_workload
+    ):
+        scalar = WaZI(clustered_points[:1500], small_workload.queries, leaf_capacity=32, seed=3)
+        batched = WaZI(clustered_points[:1500], small_workload.queries, leaf_capacity=32, seed=3)
+        rows = [p for p in clustered_points[1500:] if scalar.root.cell.contains_point(p)]
+        assert len(rows) > 100
+        for point in rows:
+            scalar.insert(point)
+        batched.insert_many([], [])
+        batched.insert_many([p.x for p in rows], [p.y for p in rows])
+        assert batched.extent() == scalar.extent()
+        assert batched.leaf_sizes() == scalar.leaf_sizes()
+        assert batched.leaflist.check_linked()
+        assert batched.leaflist.check_skip_pointers_forward()
+        for index in (scalar, batched):
+            index.counters.reset()
+        everything = clustered_points[:1500] + rows
+        for query in small_workload.queries:
+            expected = result_set(brute_force_range(everything, query))
+            assert result_set(batched.range_query(query)) == expected
+            assert result_set(scalar.range_query(query)) == expected
+        assert batched.counters.snapshot() == scalar.counters.snapshot()
+
+    def test_insert_many_outside_root_cell_rebuilds_once(self, uniform_points, sample_queries):
+        index = BaseZIndex(uniform_points[:300], leaf_capacity=16)
+        builds = []
+        build = index._build
+        index._build = lambda xs, ys: (builds.append(len(xs)), build(xs, ys))
+        rows = uniform_points[300:] + [Point(1.5, -0.5)]
+        index.insert_many([p.x for p in rows], [p.y for p in rows])
+        everything = uniform_points[:300] + rows
+        assert builds == [len(everything)]
+        fresh = BaseZIndex(everything, leaf_capacity=16)
+        assert index.extent() == fresh.extent() == Rect(
+            min(p.x for p in everything), -0.5, 1.5, max(p.y for p in everything)
+        )
+        assert index.leaf_sizes() == fresh.leaf_sizes()
+        assert index.point_query(Point(1.5, -0.5))
+        for query in sample_queries[:10] + [Rect(1.0, -1.0, 2.0, 0.0)]:
+            expected = result_set(brute_force_range(everything, query))
+            assert result_set(index.range_query(query)) == expected
+
+    def test_rederive_mid_tree_subtree_at_smaller_capacity(
+        self, clustered_points, small_workload
+    ):
+        index = WaZI(clustered_points, small_workload.queries, leaf_capacity=32, seed=3)
+        assert index.use_skipping
+
+        def span(node):
+            leaves = list(iter_leaves_in_curve_order(node))
+            return leaves[0].leaf_index, leaves[-1].leaf_index
+
+        last = len(index.leaflist) - 1
+        parent, quadrant, node = next(
+            (parent, quadrant, child)
+            for parent in index.root.children if isinstance(parent, InternalNode)
+            for quadrant, child in enumerate(parent.children)
+            if isinstance(child, InternalNode) and 0 < span(child)[0] and span(child)[1] < last
+        )
+        low, high = span(node)
+        spliced = index.rederive_subtree(node, parent, quadrant, leaf_capacity=8)
+        assert spliced > high - low + 1
+        assert len(index.leaflist) == last + 1 - (high - low + 1) + spliced
+        assert max(index.leaf_sizes()[low:low + spliced]) <= 8
+        assert index.leaf_capacity == 32
+        assert index.leaflist.check_linked()
+        assert index.leaflist.check_skip_pointers_forward()
+        leaf_indexes = [leaf.leaf_index for leaf in iter_leaves_in_curve_order(index.root)]
+        assert leaf_indexes == list(range(len(index.leaflist)))
+        queries = list(small_workload.queries) + [
+            parent.cell, node.cell, Rect(20.0, 20.0, 40.0, 40.0)
+        ]
+        for query in queries:
+            expected = brute_force_range(clustered_points, query)
+            assert result_set(index.range_query(query)) == result_set(expected)
 
 
 class TestCustomStrategy:

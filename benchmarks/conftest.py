@@ -6,9 +6,22 @@ every regenerated figure/table has a machine-readable twin next to the
 text report without per-module boilerplate.
 """
 
+import os
+
 import pytest
 
 from benchmarks import common
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _fresh_text_report():
+    """Start each session with an empty ``results/benchmark_report.txt``.
+
+    ``common._emit`` appends, so without this the report would keep every
+    earlier run's tables too.
+    """
+    os.makedirs(os.path.dirname(common.REPORT_PATH), exist_ok=True)
+    open(common.REPORT_PATH, "w").close()
 
 
 @pytest.fixture(autouse=True, scope="module")

@@ -29,7 +29,6 @@ Quickstart (the columnar-first engine API — see ``docs/API.md``)::
 """
 
 from repro.analysis import (
-    RebuildAdvisor,
     TuningReport,
     WorkloadDriftDetector,
     advise_layout,
@@ -145,7 +144,6 @@ __all__ = [
     "load_workload",
     "load_snapshot_with_history",
     "WorkloadDriftDetector",
-    "RebuildAdvisor",
     "TuningReport",
     "advise_layout",
     "box_join",

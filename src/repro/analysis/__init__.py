@@ -1,4 +1,4 @@
-"""Workload analysis: drift detection, rebuild advice, layout tuning.
+"""Workload analysis: drift detection and layout advice.
 
 Section 6.8 of the paper shows that WaZI degrades when the query workload
 drifts away from the workload it was built for, and the conclusion lists
@@ -10,25 +10,20 @@ lightweight realisation of that direction:
   training workload as a coarse spatial histogram of query footprints and
   scores how far an observed workload has drifted (total-variation
   distance), with a configurable rebuild threshold.
-* :class:`~repro.analysis.advisor.RebuildAdvisor` — combines the drift
-  score with the cost-redemption arithmetic of Table 4 to advise whether a
-  rebuild would pay for itself over an expected number of future queries.
 * :func:`~repro.analysis.tuning.advise_layout` /
   :class:`~repro.analysis.tuning.TuningReport` — the advise stage of the
   engine's observe → advise → adapt lifecycle: a measured count-only
   replay of the observed workload plus a density-model estimate of a
-  re-derived layout's cost, folded into a single actionable verdict
-  (this is what :meth:`repro.engine.SpatialEngine.advise` returns).
+  re-derived layout's cost and the cost-redemption arithmetic of
+  Table 4, folded into a single actionable verdict (this is what
+  :meth:`repro.engine.SpatialEngine.advise` returns).
 """
 
 from repro.analysis.drift import WorkloadDriftDetector
-from repro.analysis.advisor import RebuildAdvisor, RebuildRecommendation
 from repro.analysis.tuning import TuningReport, advise_layout, tuned_leaf_capacity
 
 __all__ = [
     "WorkloadDriftDetector",
-    "RebuildAdvisor",
-    "RebuildRecommendation",
     "TuningReport",
     "advise_layout",
     "tuned_leaf_capacity",

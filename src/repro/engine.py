@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
+from dataclasses import replace
 from pathlib import Path
 from typing import Dict, List, Optional, Sequence, Union
 
@@ -63,23 +64,15 @@ from repro.core import BaseWithSkipping, WaZI, WaZIWithoutSkipping
 from repro.geometry import Point, Rect, points_to_arrays
 from repro.interfaces import SpatialIndex
 from repro.persistence import (
-    KIND_REBUILD,
-    KIND_ZINDEX,
+    BuildRecipe,
     SnapshotError,
-    dataset_fingerprint,
-    load_snapshot,
-    load_snapshot_with_history,
-    read_container,
     read_manifest,
-    rects_from_array,
-    rects_to_array,
     save_rebuild_snapshot,
     save_snapshot,
-    workload_fingerprint,
 )
 from repro.obs.instrument import EngineMetrics, OnlineMetrics, plan_kind
 from repro.online import MaintenanceLoop, MaintenancePolicy, OnlineIndex
-from repro.persistence.snapshot import json_clone
+from repro.persistence.snapshot import _restore
 from repro.plancache import MISS, PlanCache, plan_key
 from repro.query import JoinQuery, KnnQuery, PointQuery, Query, RadiusQuery, RangeQuery
 from repro.results import ResultSet
@@ -94,12 +87,6 @@ __all__ = [
     "build_index",
     "build_or_load_index",
 ]
-
-#: Accepted aliases for the Z-index ablation variants (shared between
-#: :func:`build_index` dispatch and the snapshot-matching table, so the two
-#: can never drift apart).
-_WAZI_SK_ALIASES = ("wazi-sk", "wazi_nosk", "wazi-noskip")
-_BASE_SK_ALIASES = ("base+sk", "base_sk", "basesk")
 
 #: Index names accepted by :func:`build_index` /
 #: :meth:`SpatialEngine.build`.  Workload-aware indexes use the
@@ -150,14 +137,14 @@ def build_index(
     kwargs:
         Forwarded to the index constructor for index-specific options.
     """
-    key = name.lower()
+    key = BuildRecipe.canonical_name(name)
     if key == "wazi":
         return WaZI(points, workload, leaf_capacity=leaf_capacity, seed=seed, **kwargs)
-    if key in _WAZI_SK_ALIASES:
+    if key == "wazi-sk":
         return WaZIWithoutSkipping(points, workload, leaf_capacity=leaf_capacity, seed=seed, **kwargs)
     if key == "base":
         return BaseZIndex(points, leaf_capacity=leaf_capacity, **kwargs)
-    if key in _BASE_SK_ALIASES:
+    if key == "base+sk":
         return BaseWithSkipping(points, leaf_capacity=leaf_capacity, **kwargs)
     if key == "str":
         return STRRTree(points, leaf_capacity=leaf_capacity, **kwargs)
@@ -178,133 +165,25 @@ def build_index(
     raise ValueError(f"Unknown index name {name!r}; expected one of {INDEX_NAMES}")
 
 
-#: What a structural snapshot of each Z-index-family build name reports as
-#: its index name, used to check that an existing snapshot actually stores
-#: the index a caller is asking for.  Derived from the shared alias tuples
-#: and the classes' own ``name`` attributes (the value ``save_snapshot``
-#: records), so new aliases or renamed classes cannot desync the probe.
-_ZINDEX_SNAPSHOT_NAMES = {
-    "wazi": WaZI.name,
-    "base": BaseZIndex.name,
-    **{alias: WaZIWithoutSkipping.name for alias in _WAZI_SK_ALIASES},
-    **{alias: BaseWithSkipping.name for alias in _BASE_SK_ALIASES},
-}
-
-
-def _encode_build_request(name, workload, seed, kwargs, adapted: bool = False) -> Optional[Dict]:
-    """The JSON record of a build request stored in structural manifests.
-
-    Returns ``None`` when the request cannot be represented (non-JSON
-    kwargs); a ``None`` request never matches a stored one, forcing a
-    rebuild.  ``adapted`` marks a layout re-derived from observed traffic
-    by :meth:`SpatialEngine.adapt`; matching then ignores the build-time
-    workload and seed (the observed layout supersedes them).
-    """
-    encoded_kwargs = json_clone(kwargs or {})
-    if encoded_kwargs is None:
-        return None
-    request = {
-        "name": str(name).lower(),
-        "seed": None if seed is None else int(seed),
-        "num_queries": len(workload or ()),
-        "workload_fingerprint": workload_fingerprint(rects_to_array(workload or ())),
-        "kwargs": encoded_kwargs,
-    }
-    if adapted:
-        request["adapted"] = True
-    return request
-
-
 def _snapshot_matches_request(
-    path, name, points, leaf_capacity, seed, workload=None, kwargs=None
+    path, name, points, leaf_capacity, seed, workload=(), kwargs=None
 ) -> bool:
-    """Whether the snapshot at ``path`` plausibly stores the requested index.
+    """Whether the snapshot at ``path`` records exactly this build request.
 
-    A manifest-only probe (no array reads): the index/build name, the
-    dataset (via an order-insensitive content fingerprint, so a regenerated
-    same-size dataset is detected) and leaf capacity must match the
-    request — plus, for rebuild recipes, everything else the manifest
-    records (seed, workload content, extra build kwargs).  Structural
-    Z-index snapshots carry the same information in the ``build_request``
-    section the helper records at save time; snapshots saved through bare
-    ``save_snapshot`` lack it and are conservatively rebuilt.
+    A manifest-only probe (no array reads), the same for both snapshot
+    kinds: :meth:`BuildRecipe.matches` compares the stored ``build``
+    section with the request's, the dataset included through an
+    order-insensitive content fingerprint (so a regenerated same-size
+    dataset is detected).  A snapshot without one — saved through bare
+    ``save_snapshot``, or a structural snapshot written before recipes
+    were stored — cannot be verified and never matches.
     """
     try:
-        manifest = read_manifest(path)
-    except SnapshotError:
+        stored = read_manifest(path).get("build")
+    except (SnapshotError, OSError):
         return False
-    key = name.lower()
-    kind = manifest.get("kind")
-    if kind == KIND_ZINDEX:
-        info = manifest.get("index") or {}
-        expected = _ZINDEX_SNAPSHOT_NAMES.get(key)
-        if expected is None or info.get("name") != expected:
-            return False
-        # The structure does not retain its build arguments, so the helper
-        # records them as a build_request section at save time; a snapshot
-        # without one (saved through bare save_snapshot) cannot be verified
-        # against this request and is rebuilt.
-        recorded = manifest.get("build_request")
-        if not isinstance(recorded, dict):
-            return False
-        expected_request = _encode_build_request(name, workload, seed, kwargs)
-        if expected_request is None:
-            return False
-        adapted = bool(recorded.get("adapted"))
-        if adapted:
-            # An adapted snapshot's layout was re-derived from *observed*
-            # traffic, superseding any build-time workload/seed — and its
-            # page granularity, which adapt() retunes from observed result
-            # sizes.  Serving it is the whole point, so only the identity
-            # of the request (index name, extra kwargs) and of the dataset
-            # below is verified.
-            if (
-                recorded.get("name") != expected_request["name"]
-                or recorded.get("kwargs") != expected_request["kwargs"]
-            ):
-                return False
-        elif recorded != expected_request:
-            return False
-        return (
-            info.get("num_points") == len(points)
-            and (adapted or info.get("leaf_capacity") == leaf_capacity)
-            and info.get("dataset_fingerprint") == dataset_fingerprint(
-                *points_to_arrays(points)
-            )
-        )
-    if kind == KIND_REBUILD:
-        build = manifest.get("build") or {}
-        if str(build.get("name", "")).lower() != key:
-            return False
-        encoded_kwargs = json_clone(kwargs or {})
-        if encoded_kwargs is None:
-            return False  # unstorable kwargs can never match a stored recipe
-        adapted = bool(build.get("adapted"))
-        return (
-            build.get("num_points") == len(points)
-            and (adapted or build.get("leaf_capacity") == leaf_capacity)
-            # An adapted recipe replays the *observed* workload (and kept
-            # its own seed); the caller's build-time workload/seed are
-            # superseded, mirroring the structural-snapshot rule above.
-            and (
-                adapted
-                or build.get("seed") == (None if seed is None else int(seed))
-            )
-            and (
-                adapted
-                or workload is None
-                or (
-                    build.get("num_queries") == len(workload)
-                    and build.get("workload_fingerprint")
-                    == workload_fingerprint(rects_to_array(workload))
-                )
-            )
-            and (build.get("kwargs") or {}) == encoded_kwargs
-            and build.get("dataset_fingerprint") == dataset_fingerprint(
-                *points_to_arrays(points)
-            )
-        )
-    return False
+    request = BuildRecipe(name, workload or (), leaf_capacity, seed, kwargs or {})
+    return request.matches(stored, *points_to_arrays(points))
 
 
 def build_or_load_index(
@@ -318,181 +197,23 @@ def build_or_load_index(
     rebuild: bool = False,
     **kwargs,
 ) -> SpatialIndex:
-    """Build-once / serve-many: load a snapshot if present, else build and save.
+    """Build-once / serve-many for a bare index: the index of
+    :meth:`SpatialEngine.open` with the same arguments."""
+    return SpatialEngine.open(
+        name, points, workload,
+        snapshot_path=snapshot_path, leaf_capacity=leaf_capacity,
+        seed=seed, rebuild=rebuild, **kwargs,
+    ).index
 
-    The deployment helper for the paper's offline-build workflow.  When
-    ``snapshot_path`` exists (and ``rebuild`` is false) the index is
-    restored from it — an O(n) load for the Z-index family, a deterministic
-    replay of the build recipe for the rest of the zoo.  A snapshot whose
-    manifest does not match the request (different index name, point
-    count, leaf capacity — or seed, workload content and extra kwargs, for
-    rebuild recipes), or that is unreadable or version-incompatible,
-    silently falls back to a fresh build that overwrites it.  Snapshots
-    written by this helper record the full build request (seed, workload
-    fingerprint, extra kwargs) so any change to it is detected; snapshots
-    saved through bare :func:`save_snapshot` lack that record and are
-    conservatively rebuilt.  Otherwise the index is built with
-    :func:`build_index` and the snapshot is written for the next process.
 
-    For non-Z-index names the ``kwargs`` must be JSON-serialisable (they
-    travel in the rebuild recipe's manifest).
-    """
-    path = Path(snapshot_path)
-    if path.exists() and not rebuild:
-        if _snapshot_matches_request(
-            path, name, points, leaf_capacity, seed,
-            workload=workload, kwargs=kwargs,
-        ):
-            try:
-                return load_snapshot(path)
-            except SnapshotError:
-                pass  # stale/corrupt snapshot: rebuild and overwrite below
-    index = build_index(
-        name, points, workload, leaf_capacity=leaf_capacity, seed=seed, **kwargs
+def _fallback_recipe(index: ZIndex) -> BuildRecipe:
+    """The recipe of a structural snapshot saved without one: the build key
+    of its index class (a plain ``ZIndex`` re-derives as ``base``), its
+    page size and default build arguments."""
+    key = BuildRecipe.canonical_name(index.name)
+    return BuildRecipe(
+        key if key in INDEX_NAMES else "base", leaf_capacity=index.leaf_capacity
     )
-    path.parent.mkdir(parents=True, exist_ok=True)
-    if isinstance(index, ZIndex):
-        save_snapshot(
-            index, path,
-            build_request=_encode_build_request(name, workload, seed, kwargs),
-        )
-    else:
-        save_rebuild_snapshot(
-            name, points, path,
-            workload=workload, leaf_capacity=leaf_capacity, seed=seed, **kwargs,
-        )
-    return index
-
-
-def _make_recipe(index, name, points, workload, leaf_capacity, seed, kwargs) -> Dict:
-    """The build request an engine remembers for :meth:`SpatialEngine.save`.
-
-    For the Z-index family ``save`` writes a structural snapshot and only
-    needs the request metadata (name, workload, seed, kwargs); the dataset
-    itself is recorded only for the rebuild-recipe zoo, so a
-    build-once/serve-many Z-index engine never pins the boxed point list.
-    """
-    return {
-        "name": name,
-        "points": None if isinstance(index, ZIndex) else points,
-        "workload": list(workload),
-        "leaf_capacity": leaf_capacity,
-        "seed": seed,
-        "kwargs": dict(kwargs),
-        "adapted": False,
-    }
-
-
-#: Reverse lookup from an index's ``name`` attribute (what snapshots
-#: record) back to a :func:`build_index` key, so an engine restored with
-#: :meth:`SpatialEngine.load` can still :meth:`~SpatialEngine.adapt`.
-_BUILD_KEY_BY_INDEX_NAME = {
-    WaZI.name: "wazi",
-    WaZIWithoutSkipping.name: "wazi-sk",
-    BaseZIndex.name: "base",
-    BaseWithSkipping.name: "base+sk",
-    ZIndex.name: "base",
-}
-
-
-def _recipe_from_loaded_index(index) -> Optional[Dict]:
-    """A minimal adapt-capable recipe for a snapshot-restored Z-index.
-
-    Structural snapshots do not retain build arguments, but the restored
-    structure knows its name, points and leaf capacity — enough to
-    re-derive a layout from an observed workload.  Non-Z-index loads
-    (rebuild recipes) return ``None``; such engines cannot ``save``/
-    ``adapt`` without a recipe, matching the pre-lifecycle behaviour of
-    :meth:`SpatialEngine.load`.
-    """
-    if not isinstance(index, ZIndex):
-        return None
-    key = _BUILD_KEY_BY_INDEX_NAME.get(getattr(index, "name", None))
-    if key is None:
-        return None
-    return {
-        "name": key,
-        "points": None,
-        "workload": [],
-        "leaf_capacity": index.leaf_capacity,
-        "seed": 0,
-        "kwargs": {},
-        "adapted": False,
-    }
-
-
-def _adapted_recipe_from_snapshot(path, index, name, points, kwargs) -> Optional[Dict]:
-    """The recipe of a *served adapted* snapshot, or ``None``.
-
-    When :meth:`SpatialEngine.open` serves a snapshot whose layout was
-    re-derived from observed traffic, the engine's recipe must describe
-    that layout — its retuned page size, its observed workload, its
-    ``adapted`` mark — not the caller's build-time request.  Otherwise the
-    next ``save`` would record a non-adapted request with the stale
-    parameters, and the open → save → open cycle would silently revert
-    the adaptation and drop the observed history.  Returns ``None`` when
-    the snapshot is missing, unreadable, or not adapted (including the
-    case where ``open`` just rebuilt it fresh).
-    """
-    try:
-        manifest = read_manifest(path)
-    except (SnapshotError, OSError):
-        return None
-    kind = manifest.get("kind")
-    if kind == KIND_ZINDEX:
-        recorded = manifest.get("build_request")
-        if not (isinstance(recorded, dict) and recorded.get("adapted")):
-            return None
-        # The structure itself is what save() persists, so the recipe only
-        # needs the request metadata; the workload that derived the layout
-        # is not retained by structural snapshots (mirroring adapt()).
-        return {
-            "name": name,
-            "points": None,
-            "workload": [],
-            "leaf_capacity": getattr(
-                index, "leaf_capacity",
-                (manifest.get("index") or {}).get("leaf_capacity"),
-            ),
-            "seed": recorded.get("seed"),
-            "kwargs": dict(kwargs),
-            "adapted": True,
-        }
-    if kind == KIND_REBUILD:
-        build = manifest.get("build") or {}
-        if not build.get("adapted"):
-            return None
-        try:
-            _, arrays = read_container(path)
-            workload = rects_from_array(arrays["workload_rects"])
-        except (SnapshotError, OSError, KeyError):
-            return None
-        # Re-saving must replay the *adapted* workload, not the caller's.
-        return {
-            "name": name,
-            "points": list(points),
-            "workload": workload,
-            "leaf_capacity": build.get("leaf_capacity", 64),
-            "seed": build.get("seed"),
-            "kwargs": dict(kwargs),
-            "adapted": True,
-        }
-    return None
-
-
-def _read_history(path):
-    """The workload history embedded in a snapshot, or ``None``.
-
-    Tolerant probe used by :meth:`SpatialEngine.open`: a missing or
-    history-less (or even unreadable — ``open`` may have just rebuilt over
-    it) snapshot simply yields no history.
-    """
-    from repro.persistence.snapshot import load_workload_history
-
-    try:
-        return load_workload_history(path)
-    except (SnapshotError, OSError):
-        return None
 
 
 def _as_plan_cache(
@@ -601,7 +322,8 @@ class SpatialEngine:
         record: bool = False,
         plan_cache: Union[None, bool, int, PlanCache] = None,
         metrics=None,
-        _recipe: Optional[Dict] = None,
+        _recipe: Optional[BuildRecipe] = None,
+        _points: Optional[Sequence[Point]] = None,
         _workload_log: Optional[WorkloadLog] = None,
         _build_seconds: Optional[float] = None,
     ) -> None:
@@ -623,9 +345,14 @@ class SpatialEngine:
         #: ``int`` sets the capacity, and a :class:`PlanCache` instance is
         #: adopted as-is (sharable between engines serving the same index).
         self.plan_cache = _as_plan_cache(plan_cache)
-        #: The build request, when this engine built the index itself —
-        #: lets :meth:`save` write rebuild recipes for the non-Z-index zoo.
+        #: What the index was built from (``None`` for a wrapped foreign
+        #: index): :meth:`save` records it and :meth:`adapt` re-derives
+        #: from it.
         self._recipe = _recipe
+        #: The dataset, kept only for indexes outside the Z-index family
+        #: (which do not hold their points): their snapshots replay the
+        #: recipe on it.
+        self._points = _points
         #: The observe stage: a columnar log of executed plans (or None).
         self.workload_log: Optional[WorkloadLog] = _workload_log
         if record and self.workload_log is None:
@@ -661,16 +388,13 @@ class SpatialEngine:
         and starts the observe stage immediately: every executed range /
         kNN / radius plan is appended to the log.
         """
+        recipe = BuildRecipe(name, workload, leaf_capacity, seed, kwargs)
         start = time.perf_counter()
-        index = build_index(
-            name, points, workload, leaf_capacity=leaf_capacity, seed=seed, **kwargs
-        )
+        index = recipe.build(points)
         build_seconds = time.perf_counter() - start
         return cls(
             index, record=record, plan_cache=plan_cache, metrics=metrics,
-            _recipe=_make_recipe(
-                index, name, points, workload, leaf_capacity, seed, kwargs
-            ),
+            _recipe=recipe, _points=None if isinstance(index, ZIndex) else points,
             _build_seconds=build_seconds,
         )
 
@@ -687,21 +411,24 @@ class SpatialEngine:
     ) -> "SpatialEngine":
         """Restore an engine from a snapshot written by :meth:`save`.
 
-        A workload history embedded in the snapshot is restored into the
-        engine's log (recording resumes only with ``record=True``), and a
-        Z-index snapshot yields an engine that can :meth:`adapt` — the
-        recipe is reconstructed from what the snapshot records.
+        The recipe the snapshot records and any embedded workload history
+        come back from the same container read as the index, so the
+        restored engine advises, adapts and saves like the one that saved
+        it (recording resumes only with ``record=True``).  A structural
+        snapshot saved without a recipe (bare ``save_snapshot``) gets one
+        named after its index class, with default build arguments.
 
         ``mmap=True`` maps the snapshot's columns zero-copy instead of
         reading them (Z-index snapshots only; see ``docs/PERSISTENCE.md``),
         and ``validate=False`` skips the O(n) bbox cross-check on open —
         the serving-path combination.
         """
-        index, history = load_snapshot_with_history(path, mmap=mmap, validate=validate)
+        index, history, recipe, points = _restore(path, mmap=mmap, validate=validate)
         log = WorkloadLog.from_workload(history) if history is not None else None
         return cls(
             index, record=record, plan_cache=plan_cache, metrics=metrics,
-            _workload_log=log, _recipe=_recipe_from_loaded_index(index),
+            _recipe=recipe or _fallback_recipe(index), _points=points,
+            _workload_log=log,
         )
 
     @classmethod
@@ -720,38 +447,43 @@ class SpatialEngine:
         metrics=None,
         **kwargs,
     ) -> "SpatialEngine":
-        """Build-once / serve-many (see :func:`build_or_load_index`).
+        """Build-once / serve-many: :meth:`load` the snapshot at
+        ``snapshot_path`` when it records this build request, else
+        :meth:`build` and :meth:`save` it for the next process.
 
-        When the snapshot at ``snapshot_path`` is served (including one
-        written after :meth:`adapt` — its re-derived layout supersedes the
-        requested ``workload``), any observed-workload history embedded in
-        it is restored too, so the adaptive loop resumes where the saving
-        process left off.  ``record=True`` (re)starts recording either way.
+        The deployment helper for the paper's offline-build workflow.  A
+        snapshot is served only when its recorded recipe matches the
+        request — index name, dataset content, leaf capacity, seed,
+        workload content and extra kwargs.  A snapshot written after
+        :meth:`adapt` is served as long as the index, kwargs and dataset
+        match: its re-derived layout supersedes the requested workload,
+        seed and page size.  A snapshot that does not match, records no
+        recipe (bare ``save_snapshot``), or is unreadable or
+        version-incompatible is rebuilt and overwritten; so is any
+        snapshot when ``rebuild`` is true.
+
+        A served snapshot restores exactly what :meth:`load` restores —
+        the recorded recipe and the observed-workload history — so the
+        adaptive loop resumes where the saving process left off.
+        ``record=True`` (re)starts recording either way.  For non-Z-index
+        names the ``kwargs`` must be JSON-serialisable (they travel in
+        the rebuild recipe's manifest).
         """
-        start = time.perf_counter()
-        index = build_or_load_index(
-            name, points, workload,
-            snapshot_path=snapshot_path, leaf_capacity=leaf_capacity,
-            seed=seed, rebuild=rebuild, **kwargs,
+        path = Path(snapshot_path)
+        if not rebuild and _snapshot_matches_request(
+            path, name, points, leaf_capacity, seed, workload, kwargs
+        ):
+            try:
+                return cls.load(path, record=record, plan_cache=plan_cache, metrics=metrics)
+            except SnapshotError:
+                pass  # stale/corrupt snapshot: rebuild and overwrite below
+        engine = cls.build(
+            name, points, workload, leaf_capacity=leaf_capacity, seed=seed,
+            record=record, plan_cache=plan_cache, metrics=metrics, **kwargs,
         )
-        build_seconds = time.perf_counter() - start
-        history = _read_history(snapshot_path)
-        log = WorkloadLog.from_workload(history) if history is not None else None
-        # When the served snapshot holds an adapted layout, the recipe must
-        # describe *that* layout (retuned page size, observed workload,
-        # adapted mark) — not the caller's request — so a later save keeps
-        # the adaptation instead of silently reverting it.
-        recipe = _adapted_recipe_from_snapshot(
-            snapshot_path, index, name, points, kwargs
-        )
-        if recipe is None:
-            recipe = _make_recipe(
-                index, name, points, workload, leaf_capacity, seed, kwargs
-            )
-        return cls(
-            index, record=record, plan_cache=plan_cache, metrics=metrics,
-            _workload_log=log, _recipe=recipe, _build_seconds=build_seconds,
-        )
+        path.parent.mkdir(parents=True, exist_ok=True)
+        engine.save(path)
+        return engine
 
     def save(self, path: Union[str, Path]) -> None:
         """Persist the engine's index — and its observed history — for
@@ -759,12 +491,13 @@ class SpatialEngine:
 
         Z-index-family indexes are written as structural snapshots (O(n)
         load, no construction re-run).  Other indexes are written as
-        build-recipe snapshots when this engine built them itself (the
-        recipe is known); wrapping a foreign non-Z-index raises
-        :class:`TypeError`, mirroring ``save_snapshot``.  A non-empty
-        workload log travels in the same container, and an adapted layout
-        is marked as such so :meth:`open` serves it instead of rebuilding
-        for the stale build-time workload.
+        build-recipe snapshots when the engine knows the recipe (it built,
+        opened or loaded the index); wrapping a foreign non-Z-index raises
+        :class:`TypeError`, mirroring ``save_snapshot``.  Both kinds record
+        the recipe, including the mark of an adapted layout, so
+        :meth:`open` serves it instead of rebuilding for the stale
+        build-time workload.  A non-empty workload log travels in the same
+        container.
         """
         if isinstance(self.index, OnlineIndex):
             raise ValueError(
@@ -774,32 +507,20 @@ class SpatialEngine:
         history = None
         if self.workload_log is not None and len(self.workload_log):
             history = self.workload_log.snapshot()
+        recipe = self._recipe
         if isinstance(self.index, ZIndex):
-            build_request = None
-            if self._recipe is not None:
-                build_request = _encode_build_request(
-                    self._recipe["name"], self._recipe["workload"],
-                    self._recipe["seed"], self._recipe["kwargs"],
-                    adapted=self._recipe.get("adapted", False),
-                )
-            save_snapshot(
-                self.index, path,
-                build_request=build_request, workload_history=history,
-            )
+            save_snapshot(self.index, path, recipe=recipe, workload_history=history)
             return
-        if self._recipe is None:
+        if recipe is None:
             raise TypeError(
                 f"{self.name} has no structural snapshot support and this engine "
                 "does not know its build recipe; use SpatialEngine.build/open"
             )
         save_rebuild_snapshot(
-            self._recipe["name"], self._recipe["points"], path,
-            workload=self._recipe["workload"],
-            leaf_capacity=self._recipe["leaf_capacity"],
-            seed=self._recipe["seed"],
-            workload_history=history,
-            adapted=self._recipe.get("adapted", False),
-            **self._recipe["kwargs"],
+            recipe.name, self._points, path,
+            workload=recipe.workload, leaf_capacity=recipe.leaf_capacity,
+            seed=recipe.seed, workload_history=history, adapted=recipe.adapted,
+            **recipe.kwargs,
         )
 
     # ------------------------------------------------------------------
@@ -980,8 +701,8 @@ class SpatialEngine:
 
         resolved = self._resolve_workload(workload)
         reference = None
-        if self._recipe is not None and self._recipe.get("workload"):
-            reference = self._recipe["workload"]
+        if self._recipe is not None and self._recipe.workload:
+            reference = self._recipe.workload
         extra = {} if sample is None else {"sample": sample}
         report = advise_layout(
             self.index, resolved,
@@ -1010,7 +731,7 @@ class SpatialEngine:
         from repro.analysis.tuning import tuned_leaf_capacity
 
         if not rects:
-            return self._recipe["leaf_capacity"]
+            return self._recipe.leaf_capacity
         sample = rects
         if len(rects) > 256:
             step = len(rects) // 256
@@ -1061,9 +782,12 @@ class SpatialEngine:
                 "from; construct engines with SpatialEngine.build/open/load"
             )
         rects = resolved.equivalent_rects(len(self.index), self.index.extent())
-        leaf_capacity = recipe["leaf_capacity"]
+        leaf_capacity = recipe.leaf_capacity
         if tune_leaf_capacity:
             leaf_capacity = self._tuned_leaf_capacity(rects)
+        new_recipe = replace(
+            recipe, workload=rects, leaf_capacity=leaf_capacity, adapted=True
+        )
         if in_place and isinstance(self.index, OnlineIndex):
             # The online path re-derives through the freeze → build →
             # swap protocol, so writes arriving during the build stay
@@ -1072,21 +796,13 @@ class SpatialEngine:
 
             def builder(points: List[Point]) -> SpatialIndex:
                 captured["points"] = points
-                return build_index(
-                    recipe["name"], points, rects,
-                    leaf_capacity=leaf_capacity, seed=recipe["seed"],
-                    **recipe["kwargs"],
-                )
+                return new_recipe.build(points)
 
             start = time.perf_counter()
             new_base = self.index.rebuild(builder)
             build_seconds = time.perf_counter() - start
-            new_recipe = _make_recipe(
-                new_base, recipe["name"], captured["points"], rects,
-                leaf_capacity, recipe["seed"], recipe["kwargs"],
-            )
-            new_recipe["adapted"] = True
             self._recipe = new_recipe
+            self._points = None if isinstance(new_base, ZIndex) else captured["points"]
             self._build_seconds = build_seconds
             if self.metrics is not None:
                 self.metrics.observe_adapt(build_seconds)
@@ -1094,26 +810,18 @@ class SpatialEngine:
         if isinstance(self.index, (ZIndex, OnlineIndex)):
             points = self.index.all_points()
         else:
-            points = recipe["points"]
+            points = self._points
         start = time.perf_counter()
-        new_index = build_index(
-            recipe["name"], points, rects,
-            leaf_capacity=leaf_capacity, seed=recipe["seed"],
-            **recipe["kwargs"],
-        )
+        new_index = new_recipe.build(points)
         build_seconds = time.perf_counter() - start
-        new_recipe = _make_recipe(
-            new_index, recipe["name"], points, rects,
-            leaf_capacity, recipe["seed"], recipe["kwargs"],
-        )
-        new_recipe["adapted"] = True
+        new_points = None if isinstance(new_index, ZIndex) else points
         if not in_place:
             log = None
             if self.workload_log is not None and len(self.workload_log):
                 log = WorkloadLog.from_workload(self.workload_log.snapshot())
             return SpatialEngine(
                 new_index, record=self._recording,
-                _recipe=new_recipe, _workload_log=log,
+                _recipe=new_recipe, _points=new_points, _workload_log=log,
                 _build_seconds=build_seconds,
             )
         # The hot swap: one attribute rebind, atomic under the GIL — a
@@ -1121,6 +829,7 @@ class SpatialEngine:
         # mix, and result sets produced by the old one remain valid.
         self.index = new_index
         self._recipe = new_recipe
+        self._points = new_points
         self._build_seconds = build_seconds
         if self.metrics is not None:
             self.metrics.observe_adapt(build_seconds)

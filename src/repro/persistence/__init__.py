@@ -15,7 +15,9 @@ workflow, from most to least durable:
   container and restore it in O(n) memcpy-level work, skipping the
   O(n log n) construction entirely.  :func:`save_rebuild_snapshot` extends
   the same container to the rest of the index zoo by persisting the
-  dataset plus build recipe.
+  dataset plus build recipe.  Both kinds record the
+  :class:`BuildRecipe` the index was built from, and every load restores
+  it.
 
 See ``docs/PERSISTENCE.md`` for the container layout, manifest fields and
 format-version compatibility rules.
@@ -34,7 +36,6 @@ from repro.persistence.container import (
     CONTAINER_FORMAT,
     MEMBER_ALIGNMENT,
     array_member_offsets,
-    extract_array_members,
     map_container,
     read_container,
     read_manifest,
@@ -51,6 +52,7 @@ from repro.persistence.snapshot import (
     KIND_WORKLOAD,
     KIND_ZINDEX,
     SNAPSHOT_FORMAT_VERSION,
+    BuildRecipe,
     dataset_fingerprint,
     load_snapshot,
     load_snapshot_with_history,
@@ -63,6 +65,7 @@ from repro.persistence.snapshot import (
 )
 
 __all__ = [
+    "BuildRecipe",
     "CONTAINER_FORMAT",
     "KIND_REBUILD",
     "KIND_WORKLOAD",
@@ -75,7 +78,6 @@ __all__ = [
     "SnapshotVersionError",
     "array_member_offsets",
     "dataset_fingerprint",
-    "extract_array_members",
     "map_container",
     "load_points_binary",
     "load_points_columns",

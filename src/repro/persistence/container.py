@@ -24,11 +24,9 @@ no allocation, no copy, and the OS page cache is shared between every
 process that maps the same snapshot.  NumPy's own NPY writer pads headers
 to 64-byte multiples (``ARRAY_ALIGN``), so an aligned member start implies
 an aligned array-data start, satisfying any vectorised consumer.
-:func:`extract_array_members` unpacks the members as plain sidecar
-``.npy`` files for tools that want ``np.load(..., mmap_mode='r')``
-instead.  Containers written before alignment existed remain fully
-mappable — ``numpy.memmap`` accepts arbitrary offsets — just without the
-alignment guarantee.
+Containers written before alignment existed remain fully mappable —
+``numpy.memmap`` accepts arbitrary offsets — just without the alignment
+guarantee.
 
 This module knows nothing about *what* is stored; it only enforces the
 container framing: the magic ``format`` marker, the manifest/array
@@ -299,37 +297,6 @@ def array_member_offsets(path: PathLike) -> Dict[str, int]:
             for name in declared
             if name + _ARRAY_SUFFIX in archive.namelist()
         }
-
-
-def extract_array_members(path: PathLike, directory: PathLike) -> Dict[str, Path]:
-    """Unpack every array member as a plain sidecar ``.npy`` file.
-
-    Returns ``{array name: written path}``.  The sidecars are byte-for-byte
-    the NPY payloads of the container, so ``np.load(sidecar, mmap_mode='r')``
-    yields the same zero-copy views :func:`map_container` produces — the
-    escape hatch for tooling that wants standalone NPY files (or a
-    filesystem where mapping inside a ZIP is awkward).
-    """
-    target = Path(path)
-    destination = Path(directory)
-    destination.mkdir(parents=True, exist_ok=True)
-    written: Dict[str, Path] = {}
-    with _open_archive(target) as archive:
-        manifest = _read_manifest_member(target, archive)
-        declared = manifest.get("arrays")
-        if not isinstance(declared, dict):
-            raise SnapshotFormatError(f"{target} manifest lacks the arrays section")
-        for name in declared:
-            member = name + _ARRAY_SUFFIX
-            if member not in archive.namelist():
-                raise SnapshotFormatError(
-                    f"{target} declares array {name!r} but has no {member} member"
-                )
-            sidecar = destination / member
-            with archive.open(member) as source, open(sidecar, "wb") as sink:
-                sink.write(source.read())
-            written[name] = sidecar
-    return written
 
 
 def _member_data_offset(target: Path, archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> int:

@@ -14,10 +14,15 @@ module is that workflow's persistence layer:
   workload evaluation is ever re-run, and the loaded index answers every
   query with byte-identical results, ordering and cost counters;
 * :func:`save_rebuild_snapshot` covers the rest of the index zoo: it
-  persists the dataset columns plus the build recipe (index name, workload
-  rectangles, parameters), and :func:`load_snapshot` replays the recipe
-  through :func:`repro.engine.build_index` — deterministic given the seed,
-  and still free of per-point JSON overhead.
+  persists the dataset columns plus the build recipe, and
+  :func:`load_snapshot` replays the recipe through
+  :func:`repro.engine.build_index` — deterministic given the seed, and
+  still free of per-point JSON overhead.
+
+Both kinds record what the index was built from the same way: a
+:class:`BuildRecipe` (index name, workload rectangles, parameters) stored
+as the manifest's ``build`` section plus a ``workload_rects`` member, so
+every load can restore it and one matcher can compare it with a request.
 
 Format-version negotiation is strict and friendly: snapshots written by a
 *newer* library raise :class:`SnapshotVersionError` naming both versions;
@@ -30,7 +35,8 @@ specified in ``docs/PERSISTENCE.md``.
 from __future__ import annotations
 
 import json
-from typing import Dict, Optional, Sequence
+from dataclasses import dataclass, field
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -57,6 +63,20 @@ KIND_REBUILD = "rebuild-recipe"
 #: Manifest ``kind`` for a standalone workload container.
 KIND_WORKLOAD = "workload"
 
+#: Index-name aliases :func:`repro.engine.build_index` accepts, mapped to
+#: the canonical build key a :class:`BuildRecipe` records.
+_INDEX_ALIASES = {
+    "wazi_nosk": "wazi-sk",
+    "wazi-noskip": "wazi-sk",
+    "base_sk": "base+sk",
+    "basesk": "base+sk",
+}
+
+#: The ``build`` fields an *adapted* recipe must still match: its layout
+#: was re-derived from observed traffic, superseding the request's
+#: workload, seed and page size, but not the index or the dataset.
+_ADAPTED_IDENTITY = ("name", "kwargs", "num_points", "dataset_fingerprint")
+
 #: Member-name prefix under which an index snapshot embeds its observed
 #: workload history (so one file restores both the structure and what the
 #: engine learned about its traffic).
@@ -67,7 +87,7 @@ def json_clone(value) -> Optional[Dict]:
     """JSON round-trip of a value, or ``None`` when it is not representable.
 
     The single encode-or-reject policy for everything that travels in a
-    manifest (build kwargs, build requests): round-tripping normalises
+    manifest (build kwargs, workload metadata): round-tripping normalises
     JSON-equivalent Python values (tuples → lists, int-keyed dicts →
     strings) so that what a saver records compares equal to what a later
     loader re-encodes.
@@ -99,7 +119,7 @@ def dataset_fingerprint(xs: np.ndarray, ys: np.ndarray) -> str:
     """Cheap, order-insensitive fingerprint of a coordinate dataset.
 
     Recorded in snapshot manifests and compared by
-    :func:`repro.engine.build_or_load_index` so a snapshot saved from a
+    :meth:`BuildRecipe.matches` so a snapshot saved from a
     *different* dataset of the same size is rebuilt instead of silently
     served.  Each (x, y) pair is hashed through a nonlinear 64-bit mix and
     the hashes summed, so any permutation of the same multiset of points
@@ -130,6 +150,139 @@ def workload_fingerprint(rects: np.ndarray) -> str:
         rows = _mix64(rows * np.uint64(0x9E3779B97F4A7C15) + bits[:, 3])
         salted = rows * _mix64(np.arange(1, n + 1, dtype=np.uint64))
     return f"{int(salted.sum(dtype=np.uint64)):016x}-{n}"
+
+
+@dataclass(frozen=True)
+class BuildRecipe:
+    """What :func:`repro.engine.build_index` was asked for.
+
+    ``name`` is the canonical build key (aliases such as ``wazi_nosk`` map
+    to it), ``workload`` the rectangles the layout was derived from and
+    ``kwargs`` the extra constructor options.  ``adapted`` marks a recipe
+    re-derived from observed traffic by
+    :meth:`~repro.engine.SpatialEngine.adapt`.  Both snapshot kinds store
+    it as :meth:`section` plus a ``workload_rects`` member; the dataset is
+    not part of it.
+    """
+
+    name: str
+    workload: Tuple[Rect, ...] = ()
+    leaf_capacity: int = 64
+    seed: Optional[int] = 0
+    kwargs: Dict = field(default_factory=dict)
+    adapted: bool = False
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "name", self.canonical_name(self.name))
+        object.__setattr__(self, "workload", tuple(self.workload))
+        object.__setattr__(self, "kwargs", dict(self.kwargs))
+
+    @staticmethod
+    def canonical_name(name: str) -> str:
+        """The build key of an index name: lower-cased, aliases resolved."""
+        key = str(name).lower()
+        return _INDEX_ALIASES.get(key, key)
+
+    def build(self, points: Sequence[Point]):
+        """Run the recipe on ``points`` through :func:`repro.engine.build_index`."""
+        from repro.engine import build_index  # lazily: repro.engine imports this package
+
+        return build_index(
+            self.name, points, self.workload,
+            leaf_capacity=self.leaf_capacity, seed=self.seed, **self.kwargs,
+        )
+
+    def section(self, xs: np.ndarray, ys: np.ndarray) -> Optional[Dict]:
+        """The manifest ``build`` record of this recipe over the dataset
+        ``xs``/``ys``, or ``None`` when ``kwargs`` are not
+        JSON-serialisable."""
+        kwargs = json_clone(self.kwargs)
+        if kwargs is None:
+            return None
+        rects = rects_to_array(self.workload)
+        section = {
+            "name": self.name,
+            "leaf_capacity": int(self.leaf_capacity),
+            "seed": None if self.seed is None else int(self.seed),
+            "kwargs": kwargs,
+            "num_points": int(len(xs)),
+            "num_queries": int(rects.shape[0]),
+            "dataset_fingerprint": dataset_fingerprint(xs, ys),
+            "workload_fingerprint": workload_fingerprint(rects),
+        }
+        if self.adapted:
+            section["adapted"] = True
+        return section
+
+    def matches(self, stored, xs: np.ndarray, ys: np.ndarray) -> bool:
+        """Whether a stored ``build`` section records this recipe over the
+        dataset ``xs``/``ys``.
+
+        Field-by-field equality with :meth:`section`, except that an
+        ``adapted`` section only has to agree on the index, its extra
+        kwargs and the dataset.  A missing or malformed section, or a
+        recipe that cannot be stored, never matches.
+        """
+        if not isinstance(stored, dict):
+            return False
+        expected = self.section(xs, ys)
+        if expected is None:
+            return False
+        if stored.get("adapted"):
+            return all(stored.get(key) == expected[key] for key in _ADAPTED_IDENTITY)
+        return stored == expected
+
+
+def _store_recipe(
+    manifest: Dict, arrays: Dict[str, np.ndarray], recipe: BuildRecipe, xs, ys
+) -> bool:
+    """Record ``recipe`` as the manifest's ``build`` section plus the
+    ``workload_rects`` member.  Returns ``False``, storing nothing, when
+    its kwargs are not JSON-serialisable."""
+    section = recipe.section(xs, ys)
+    if section is None:
+        return False
+    manifest["build"] = section
+    arrays["workload_rects"] = rects_to_array(recipe.workload)
+    return True
+
+
+def _read_recipe(
+    path: PathLike, manifest: Dict, arrays: Dict[str, np.ndarray]
+) -> Optional[BuildRecipe]:
+    """The recipe :func:`_store_recipe` recorded, or ``None`` when the
+    snapshot has no ``build`` section."""
+    build = manifest.get("build")
+    if build is None:
+        return None
+    if not isinstance(build, dict) or "name" not in build:
+        raise SnapshotFormatError(f"{path} holds a malformed build section: {build!r}")
+    if "workload_rects" not in arrays:
+        raise SnapshotFormatError(f"{path} is missing snapshot array 'workload_rects'")
+    kwargs = build.get("kwargs") or {}
+    if not isinstance(kwargs, dict):
+        raise SnapshotFormatError(f"{path} build kwargs are not a mapping: {kwargs!r}")
+    seed = build.get("seed", 0)
+    try:
+        return BuildRecipe(
+            name=str(build["name"]),
+            workload=rects_from_array(arrays["workload_rects"]),
+            leaf_capacity=int(build.get("leaf_capacity", 64)),
+            seed=None if seed is None else int(seed),
+            kwargs=kwargs,
+            adapted=bool(build.get("adapted", False)),
+        )
+    except (TypeError, ValueError) as exc:
+        raise SnapshotFormatError(f"{path} holds a malformed build recipe: {exc}") from exc
+
+
+def _store_history(manifest: Dict, arrays: Dict[str, np.ndarray], history) -> None:
+    """Embed a non-empty observed-workload history under ``history_*``."""
+    if history is None or not len(history):
+        return
+    manifest["workload_history"] = _workload_manifest_section(history)
+    for name, table in _workload_members(history).items():
+        arrays[_HISTORY_PREFIX + name] = table
 
 
 def _workload_members(workload) -> Dict[str, np.ndarray]:
@@ -203,7 +356,7 @@ def save_snapshot(
     index,
     path: PathLike,
     *,
-    build_request: Optional[Dict] = None,
+    recipe: Optional[BuildRecipe] = None,
     workload_history=None,
 ) -> Dict:
     """Serialise a built Z-index-family index to a binary snapshot.
@@ -213,11 +366,12 @@ def save_snapshot(
     those with :func:`save_rebuild_snapshot`, which stores the dataset and
     build recipe instead of the structure.
 
-    ``build_request`` is an optional JSON-serialisable record of the build
-    arguments that produced the index (seed, workload fingerprint, extra
-    kwargs).  The index structure itself does not retain them, so callers
-    that want :func:`repro.engine.build_or_load_index` to verify a later
-    request against this snapshot must supply them here; the helper does.
+    ``recipe`` is the :class:`BuildRecipe` that produced the index.  The
+    structure does not retain it, so it is stored alongside (as the
+    ``build`` section every snapshot kind shares) for loads to restore and
+    for :meth:`repro.engine.SpatialEngine.open` to verify a later request
+    against; a recipe whose kwargs are not JSON-serialisable is not
+    recorded, and neither is one passed as ``None``.
 
     ``workload_history`` is an optional :class:`~repro.workloads.Workload`
     (typically an engine's observed-traffic snapshot) embedded in the same
@@ -245,26 +399,15 @@ def save_snapshot(
             "has_nonmonotone_ordering": state.has_nonmonotone_ordering,
             "extent": None if state.extent is None else list(state.extent),
             "num_points": state.num_points,
-            "dataset_fingerprint": dataset_fingerprint(
-                state.arrays["flat_x"], state.arrays["flat_y"]
-            ),
             "num_leaves": int(state.arrays["leaf_starts"].shape[0]) - 1,
             "num_nodes": int(state.arrays["tree_kind"].shape[0]),
             "orderings": list(state.orderings),
         },
     }
-    if build_request is not None:
-        cloned = json_clone(build_request)
-        if cloned is None:
-            raise TypeError(
-                f"build_request must be JSON-serialisable, got {build_request!r}"
-            )
-        manifest["build_request"] = cloned
     arrays = dict(state.arrays)
-    if workload_history is not None and len(workload_history):
-        manifest["workload_history"] = _workload_manifest_section(workload_history)
-        for name, table in _workload_members(workload_history).items():
-            arrays[_HISTORY_PREFIX + name] = table
+    if recipe is not None:
+        _store_recipe(manifest, arrays, recipe, arrays["flat_x"], arrays["flat_y"])
+    _store_history(manifest, arrays, workload_history)
     write_container(path, manifest, arrays)
     return manifest
 
@@ -293,38 +436,23 @@ def save_rebuild_snapshot(
     :class:`~repro.workloads.Workload` the same way :func:`save_snapshot`
     does.  ``adapted`` marks the recipe as one re-derived from observed
     traffic by :meth:`~repro.engine.SpatialEngine.adapt`:
-    ``build_or_load_index`` then treats the stored (adapted) workload as
-    superseding the caller's build-time workload instead of rebuilding.
+    :meth:`~repro.engine.SpatialEngine.open` then treats the stored
+    (adapted) workload as superseding the caller's build-time workload
+    instead of rebuilding.
     """
-    encoded_kwargs = json_clone(kwargs)
-    if encoded_kwargs is None:
-        raise TypeError(
-            f"rebuild-snapshot build kwargs must be JSON-serialisable, got {kwargs!r}"
-        )
+    recipe = BuildRecipe(name, workload, leaf_capacity, seed, kwargs, adapted)
     xs, ys = points_to_arrays(points)
-    rects = rects_to_array(workload)
     manifest = {
         "kind": KIND_REBUILD,
         "format_version": SNAPSHOT_FORMAT_VERSION,
         "library_version": _library_version(),
-        "build": {
-            "name": str(name),
-            "leaf_capacity": int(leaf_capacity),
-            "seed": None if seed is None else int(seed),
-            "kwargs": encoded_kwargs,
-            "num_points": int(xs.shape[0]),
-            "num_queries": int(rects.shape[0]),
-            "dataset_fingerprint": dataset_fingerprint(xs, ys),
-            "workload_fingerprint": workload_fingerprint(rects),
-        },
     }
-    if adapted:
-        manifest["build"]["adapted"] = True
-    arrays = {"xs": xs, "ys": ys, "workload_rects": rects}
-    if workload_history is not None and len(workload_history):
-        manifest["workload_history"] = _workload_manifest_section(workload_history)
-        for member, table in _workload_members(workload_history).items():
-            arrays[_HISTORY_PREFIX + member] = table
+    arrays = {"xs": xs, "ys": ys}
+    if not _store_recipe(manifest, arrays, recipe, xs, ys):
+        raise TypeError(
+            f"rebuild-snapshot build kwargs must be JSON-serialisable, got {kwargs!r}"
+        )
+    _store_history(manifest, arrays, workload_history)
     write_container(path, manifest, arrays)
     return manifest
 
@@ -378,10 +506,21 @@ def load_snapshot_with_history(
     The second element is the :class:`~repro.workloads.Workload` history
     embedded by ``save_snapshot(..., workload_history=...)`` (or the
     rebuild-recipe equivalent), or ``None`` when the snapshot predates the
-    adaptive lifecycle or simply recorded no traffic.  This is what lets
-    :meth:`repro.engine.SpatialEngine.open` resume the observe → advise →
-    adapt loop exactly where the saving process left off.  ``mmap`` /
+    adaptive lifecycle or simply recorded no traffic.  ``mmap`` /
     ``validate`` behave as in :func:`load_snapshot`.
+    """
+    return _restore(path, mmap=mmap, validate=validate)[:2]
+
+
+def _restore(path: PathLike, *, mmap: bool = False, validate: bool = True):
+    """``(index, history, recipe, points)`` from one container read.
+
+    ``recipe`` is the stored :class:`BuildRecipe` (``None`` for a
+    structural snapshot saved without one) and ``points`` the dataset of a
+    rebuild-recipe snapshot (``None`` for a structural one, whose index
+    holds its points).  This is what lets
+    :meth:`repro.engine.SpatialEngine.load` resume the observe → advise →
+    adapt loop exactly where the saving process left off.
     """
     store = None
     if mmap:
@@ -393,31 +532,33 @@ def load_snapshot_with_history(
         manifest, arrays = read_container(path)
     _check_version(path, manifest)
     kind = manifest.get("kind")
-    if kind == KIND_ZINDEX:
-        index = _load_zindex(path, manifest, arrays, store=store, validate=validate)
-    elif mmap:
+    if mmap and kind != KIND_ZINDEX:
         raise SnapshotFormatError(
             f"{path} stores snapshot kind {kind!r}, which cannot be memory-"
             f"mapped; only {KIND_ZINDEX!r} snapshots hold mappable columns"
         )
-    elif kind == KIND_REBUILD:
-        index = _load_rebuild(path, manifest, arrays)
-    elif kind == KIND_WORKLOAD:
+    if kind == KIND_WORKLOAD:
         raise SnapshotFormatError(
             f"{path} stores a standalone workload, not an index; load it with "
             f"load_workload"
         )
-    else:
+    if kind not in (KIND_ZINDEX, KIND_REBUILD):
         raise SnapshotFormatError(
             f"{path} stores unknown snapshot kind {kind!r}; expected "
             f"{KIND_ZINDEX!r} or {KIND_REBUILD!r}"
         )
+    recipe = _read_recipe(path, manifest, arrays)
+    points = None
+    if kind == KIND_ZINDEX:
+        index = _load_zindex(path, manifest, arrays, store=store, validate=validate)
+    else:
+        index, points = _load_rebuild(path, recipe, arrays)
     history = None
     if "workload_history" in manifest:
         history = _workload_from_members(
             path, manifest.get("workload_history"), arrays, prefix=_HISTORY_PREFIX
         )
-    return index, history
+    return index, history, recipe, points
 
 
 def load_workload_history(path: PathLike):
@@ -491,34 +632,22 @@ def _load_zindex(
         raise SnapshotFormatError(f"{path} holds inconsistent snapshot state: {exc}") from exc
 
 
-def _load_rebuild(path: PathLike, manifest: Dict, arrays: Dict[str, np.ndarray]):
-    from repro.engine import build_index  # lazily: repro.engine imports this package
-
-    build = manifest.get("build")
-    if not isinstance(build, dict) or "name" not in build:
+def _load_rebuild(
+    path: PathLike, recipe: Optional[BuildRecipe], arrays: Dict[str, np.ndarray]
+):
+    """``(index, points)``: the stored recipe replayed on the stored dataset."""
+    if recipe is None:
         raise SnapshotFormatError(f"{path} rebuild snapshot lacks the build section")
-    for name in ("xs", "ys", "workload_rects"):
+    for name in ("xs", "ys"):
         if name not in arrays:
             raise SnapshotFormatError(f"{path} is missing snapshot array {name!r}")
-    kwargs = build.get("kwargs") or {}
-    if not isinstance(kwargs, dict):
-        raise SnapshotFormatError(f"{path} rebuild kwargs are not a mapping: {kwargs!r}")
-    seed = build.get("seed", 0)
     try:
         points = points_from_arrays(arrays["xs"], arrays["ys"])
-        workload = rects_from_array(arrays["workload_rects"])
-        return build_index(
-            str(build["name"]),
-            points,
-            workload,
-            leaf_capacity=int(build.get("leaf_capacity", 64)),
-            seed=None if seed is None else int(seed),
-            **kwargs,
-        )
+        return recipe.build(points), points
     except (TypeError, ValueError) as exc:
         raise SnapshotFormatError(
             f"{path} rebuild recipe could not be replayed "
-            f"({build.get('name')!r}, kwargs {kwargs!r}): {exc}"
+            f"({recipe.name!r}, kwargs {recipe.kwargs!r}): {exc}"
         ) from exc
 
 

@@ -35,7 +35,6 @@ from repro.serving.sharding import (
 )
 from repro.serving.workers import (
     LocalBackend,
-    ReplicaPool,
     ServingError,
     ShardEngine,
     ShardHost,
@@ -46,7 +45,6 @@ from repro.serving.workers import (
 
 __all__ = [
     "LocalBackend",
-    "ReplicaPool",
     "SHARDS_MANIFEST",
     "ServingError",
     "ShardEngine",

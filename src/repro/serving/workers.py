@@ -26,11 +26,6 @@ logical :class:`~repro.evaluation.metrics.CostCounters` delta the request
 caused and the wall-clock the engine spent on it.  The dispatcher adds the
 deltas to its own counters (cost accounting stays exact across process
 boundaries) and aggregates the busy times for capacity modelling.
-
-:class:`ReplicaPool` reuses the same machinery for *replicated* (unsharded)
-serving: N workers all mapping the same full snapshot, each answering the
-full query stream — the configuration the byte-identity property tests
-exercise.
 """
 
 from __future__ import annotations
@@ -424,59 +419,3 @@ def spawn_shard_backends(
             host.close()
         raise
     return [backend for backend in backends if backend is not None]
-
-
-class ReplicaPool:
-    """N worker processes each serving the *same* full snapshot.
-
-    The replicated (unsharded) deployment: every worker maps the identical
-    snapshot — one physical copy of the columns in the page cache — and
-    answers whatever slice of the query stream it is handed.  Used by the
-    byte-identity property tests (every replica must answer a shared batch
-    exactly like the in-memory engine, counters included) and by the
-    serving benchmark's memory-scaling measurements.
-    """
-
-    def __init__(
-        self,
-        path: PathLike,
-        replicas: int,
-        *,
-        mmap: bool = True,
-        validate: bool = False,
-    ) -> None:
-        if replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {replicas}")
-        self.path = Path(path)
-        self.hosts: List[ShardHost] = []
-        try:
-            for _ in range(replicas):
-                self.hosts.append(
-                    ShardHost([self.path], mmap=mmap, validate=validate)
-                )
-        except BaseException:
-            self.close()
-            raise
-
-    def __len__(self) -> int:
-        return len(self.hosts)
-
-    def broadcast(self, method: str, payload: Any = None) -> List[Any]:
-        """Send one request to every replica; replies in replica order."""
-        for host in self.hosts:
-            host.send(0, method, payload)
-        return [host.receive() for host in self.hosts]
-
-    def request(self, replica: int, method: str, payload: Any = None) -> Any:
-        return self.hosts[replica].request(0, method, payload)
-
-    def close(self) -> None:
-        for host in self.hosts:
-            host.close()
-        self.hosts = []
-
-    def __enter__(self) -> "ReplicaPool":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()

@@ -178,25 +178,3 @@ class MmapColumnStore(ColumnStore):
 
         manifest, arrays = map_container(path)
         return cls(arrays, path=path, manifest=manifest)
-
-    @classmethod
-    def open_sidecars(cls, directory, names) -> "MmapColumnStore":
-        """Map extracted sidecar ``.npy`` files instead of the container.
-
-        ``directory`` is where :func:`repro.persistence.container.
-        extract_array_members` unpacked the members; ``names`` the columns
-        to map.  Zero-length members fall back to in-memory arrays exactly
-        like :func:`map_container` does.
-        """
-        from pathlib import Path
-
-        root = Path(directory)
-        columns = {}
-        for name in names:
-            sidecar = root / f"{name}.npy"
-            array = np.load(sidecar, mmap_mode="r")
-            if array.size == 0:
-                array = np.load(sidecar)
-                array.setflags(write=False)
-            columns[name] = array
-        return cls(columns, path=root)

@@ -211,8 +211,8 @@ class TestAdapt:
         engine = SpatialEngine.build("wazi", uniform_points, sample_queries[:5],
                                      seed=1)
         engine.adapt(Workload(queries=sample_queries))
-        assert engine._recipe["adapted"] is True
-        assert len(engine._recipe["workload"]) == len(sample_queries)
+        assert engine._recipe.adapted is True
+        assert len(engine._recipe.workload) == len(sample_queries)
 
     def test_in_place_false_leaves_serving_engine(self, uniform_points,
                                                   sample_queries):
@@ -232,11 +232,11 @@ class TestAdapt:
         engine = SpatialEngine.build("wazi", uniform_points, big, seed=1,
                                      leaf_capacity=64)
         engine.adapt(Workload(queries=big), tune_leaf_capacity=False)
-        assert engine._recipe["leaf_capacity"] == 64
+        assert engine._recipe.leaf_capacity == 64
         engine2 = SpatialEngine.build("wazi", uniform_points, big, seed=1,
                                       leaf_capacity=64)
         engine2.adapt(Workload(queries=big))
-        assert engine2._recipe["leaf_capacity"] == tuned_leaf_capacity(
+        assert engine2._recipe.leaf_capacity == tuned_leaf_capacity(
             float(len(uniform_points))
         )
 
@@ -259,7 +259,7 @@ class TestAdapt:
         engine.adapt()
         after = [canonical(r) for r in engine.batch_range_query(sample_queries)]
         assert before == after
-        assert engine._recipe["adapted"] is True
+        assert engine._recipe.adapted is True
 
 
 class TestLifecyclePersistence:
@@ -312,7 +312,7 @@ class TestLifecyclePersistence:
         engine.save(path)
         engine.stop_recording()  # keep the saved history as the comparison basis
         counts = [r.count() for r in engine.batch_range_query(sample_queries)]
-        adapted_leaf = engine._recipe["leaf_capacity"]
+        adapted_leaf = engine._recipe.leaf_capacity
 
         reopened = SpatialEngine.open(
             name, uniform_points, sample_queries[:10],
@@ -337,7 +337,7 @@ class TestLifecyclePersistence:
         engine.execute_many([RangeQuery(q) for q in sample_queries])
         engine.adapt()
         engine.save(path)
-        adapted_leaf = engine._recipe["leaf_capacity"]
+        adapted_leaf = engine._recipe.leaf_capacity
         history = engine.workload_log.snapshot()
 
         # a second serving process opens, observes nothing new, re-saves
@@ -345,11 +345,13 @@ class TestLifecyclePersistence:
             name, uniform_points, sample_queries[:10],
             snapshot_path=path, seed=1,
         )
-        assert second._recipe["adapted"] is True
-        assert second._recipe["leaf_capacity"] == adapted_leaf
+        assert second._recipe.adapted is True
+        assert second._recipe.leaf_capacity == adapted_leaf
         second.save(path)
+        # ... and a third process loads it directly and re-saves it too
+        SpatialEngine.load(path).save(path)
 
-        # a third open must still serve the adapted layout + history
+        # the next open must still serve the adapted layout + history
         third = SpatialEngine.open(
             name, uniform_points, sample_queries[:10],
             snapshot_path=path, seed=1,
@@ -360,8 +362,46 @@ class TestLifecyclePersistence:
             assert third.index.leaf_capacity == adapted_leaf
         else:
             # rebuild recipes replay the adapted workload, not the request
-            assert third._recipe["adapted"] is True
-            assert len(third._recipe["workload"]) == len(engine._recipe["workload"])
+            assert third._recipe.adapted is True
+            assert len(third._recipe.workload) == len(engine._recipe.workload)
+
+    def test_load_save_keeps_recorded_request(self, uniform_points,
+                                              sample_queries, tmp_path,
+                                              monkeypatch):
+        """load → save → open serves the copy: the request survives load."""
+        import repro.engine
+
+        first, copy = tmp_path / "first.snapshot", tmp_path / "copy.snapshot"
+        SpatialEngine.open("wazi", uniform_points, sample_queries[:10],
+                           snapshot_path=first, seed=7)
+        SpatialEngine.load(first).save(copy)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a re-saved snapshot must be served, not rebuilt")
+
+        monkeypatch.setattr(repro.engine, "build_index", refuse)
+        served = SpatialEngine.open("wazi", uniform_points, sample_queries[:10],
+                                    snapshot_path=copy, seed=7)
+        assert served._recipe.seed == 7
+        assert served._recipe.workload == tuple(sample_queries[:10])
+
+    def test_loaded_engine_adapts_like_built(self, tmp_path):
+        """A loaded engine re-derives with the recorded seed and reference."""
+        from repro.workloads import generate_dataset, generate_range_workload
+
+        points = generate_dataset("newyork", 3000, seed=1)
+        train = generate_range_workload("newyork", 50, 0.0256, seed=2).queries
+        observed = Workload(
+            queries=generate_range_workload("newyork", 50, 0.0256, seed=9).queries
+        )
+        path = tmp_path / "seeded.snapshot"
+        built = SpatialEngine.build("wazi", points, train, seed=17)
+        built.save(path)
+        loaded = SpatialEngine.load(path)
+        assert loaded.advise(observed).drift_score == built.advise(observed).drift_score
+        built.adapt(observed, tune_leaf_capacity=False)
+        loaded.adapt(observed, tune_leaf_capacity=False)
+        assert loaded.index.leaf_sizes() == built.index.leaf_sizes()
 
     def test_advise_leaves_counters_untouched(self, uniform_points,
                                               sample_queries):

@@ -1,8 +1,8 @@
-"""Tests for workload-drift detection and the rebuild advisor."""
+"""Tests for workload-drift detection."""
 
 import pytest
 
-from repro.analysis import RebuildAdvisor, RebuildRecommendation, WorkloadDriftDetector
+from repro.analysis import WorkloadDriftDetector
 from repro.geometry import Rect
 from repro.workloads import blend_workloads, generate_range_workload, uniform_range_workload
 
@@ -67,50 +67,3 @@ class TestWorkloadDriftDetector:
         detector = WorkloadDriftDetector.from_workload(original_workload.queries)
         detector.fit(replacement_workload.queries)
         assert detector.drift_score(replacement_workload.queries) == pytest.approx(0.0, abs=1e-9)
-
-
-class TestRebuildAdvisor:
-    def make_advisor(self, detector, rebuild_seconds=10.0, stale=2e-3, fresh=1e-3):
-        return RebuildAdvisor(detector, rebuild_seconds, stale, fresh)
-
-    def test_invalid_parameters(self, original_workload):
-        detector = WorkloadDriftDetector.from_workload(original_workload.queries)
-        with pytest.raises(ValueError):
-            RebuildAdvisor(detector, -1.0, 1e-3, 1e-3)
-        with pytest.raises(ValueError):
-            RebuildAdvisor(detector, 1.0, -1e-3, 1e-3)
-
-    def test_no_rebuild_when_drift_low(self, original_workload):
-        detector = WorkloadDriftDetector.from_workload(original_workload.queries)
-        advisor = self.make_advisor(detector)
-        verdict = advisor.recommend(original_workload.queries, expected_future_queries=1e9)
-        assert isinstance(verdict, RebuildRecommendation)
-        assert not verdict.should_rebuild
-        assert "below threshold" in verdict.reason
-
-    def test_rebuild_when_drift_high_and_horizon_long(self):
-        left = [Rect(0.0, 0.0, 0.1, 0.1)] * 20
-        right = [Rect(0.9, 0.9, 1.0, 1.0)] * 20
-        detector = WorkloadDriftDetector.from_workload(left, extent=Rect(0, 0, 1, 1))
-        advisor = self.make_advisor(detector)
-        verdict = advisor.recommend(right, expected_future_queries=1_000_000)
-        assert verdict.should_rebuild
-        assert verdict.estimated_break_even_queries == pytest.approx(10_000.0)
-
-    def test_no_rebuild_when_horizon_too_short(self):
-        left = [Rect(0.0, 0.0, 0.1, 0.1)] * 20
-        right = [Rect(0.9, 0.9, 1.0, 1.0)] * 20
-        detector = WorkloadDriftDetector.from_workload(left, extent=Rect(0, 0, 1, 1))
-        advisor = self.make_advisor(detector)
-        verdict = advisor.recommend(right, expected_future_queries=100)
-        assert not verdict.should_rebuild
-        assert "pay off" in verdict.reason
-
-    def test_no_rebuild_when_fresh_index_not_faster(self):
-        left = [Rect(0.0, 0.0, 0.1, 0.1)] * 20
-        right = [Rect(0.9, 0.9, 1.0, 1.0)] * 20
-        detector = WorkloadDriftDetector.from_workload(left, extent=Rect(0, 0, 1, 1))
-        advisor = RebuildAdvisor(detector, 10.0, stale_query_seconds=1e-3, fresh_query_seconds=2e-3)
-        verdict = advisor.recommend(right, expected_future_queries=1e9)
-        assert not verdict.should_rebuild
-        assert verdict.estimated_break_even_queries is None

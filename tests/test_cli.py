@@ -101,6 +101,14 @@ class TestAdaptAndExport:
         if event["event"] == "adapted":
             assert Path(event["snapshot"]).exists()
 
+    def test_adapt_rebuild_recipe_snapshot(self, tmp_path, capsys):
+        """A rebuild-recipe snapshot stores its recipe and dataset: adapt works."""
+        path = tmp_path / "str.snapshot"
+        assert main(["build", str(path), "--index", "str", "--num-points", "2000",
+                     "--workload-queries", "40"]) == 0
+        assert main(["adapt", str(path), "--force"]) == 0
+        assert _last_json(capsys)["event"] == "adapted"
+
     def test_export_history(self, snapshot, tmp_path, capsys):
         out = tmp_path / "dump"
         assert main(["export", "--snapshot", str(snapshot),

@@ -16,7 +16,6 @@ from repro.persistence import (
     MEMBER_ALIGNMENT,
     SnapshotFormatError,
     array_member_offsets,
-    extract_array_members,
     map_container,
     read_container,
     write_container,
@@ -128,15 +127,3 @@ class TestMapContainer:
     def test_missing_file_raises_format_error(self, tmp_path):
         with pytest.raises((SnapshotFormatError, OSError)):
             map_container(tmp_path / "nope.zip")
-
-
-class TestExtract:
-    def test_extracted_sidecars_load_with_numpy(self, tmp_path):
-        path = tmp_path / "c.zip"
-        arrays = _sample_arrays()
-        write_container(path, {"kind": "test"}, arrays)
-        extracted = extract_array_members(path, tmp_path / "out")
-        assert set(extracted) == set(arrays)
-        for name, sidecar in extracted.items():
-            loaded = np.load(sidecar, mmap_mode="r" if arrays[name].size else None)
-            np.testing.assert_array_equal(loaded, arrays[name])

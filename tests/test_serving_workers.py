@@ -1,4 +1,4 @@
-"""Tests for worker-process serving: shard hosts and replica pools.
+"""Tests for worker-process serving: shard hosts and replicas.
 
 The headline property (the mmap byte-identity guarantee): N separate
 processes opening the same mmap'd snapshot answer a shared query batch
@@ -9,6 +9,7 @@ round-robin shard hosting, and clean shutdown.
 
 import os
 import signal
+from contextlib import ExitStack
 
 import numpy as np
 import pytest
@@ -16,7 +17,6 @@ import pytest
 from repro.geometry import Point, Rect
 from repro.persistence import save_snapshot
 from repro.serving import (
-    ReplicaPool,
     ServingError,
     ShardHost,
     build_shards,
@@ -42,6 +42,13 @@ def _query_batch(rng, count=30, span=250.0):
     return np.asarray(windows, dtype=np.float64)
 
 
+def _broadcast(replicas, method, payload=None):
+    """Send one request to every replica host; replies in replica order."""
+    for host in replicas:
+        host.send(0, method, payload)
+    return [host.receive() for host in replicas]
+
+
 class TestReplicaByteIdentity:
     """Satellite property test: N processes × one mmap snapshot ≡ one engine."""
 
@@ -52,18 +59,22 @@ class TestReplicaByteIdentity:
         index, rng = _build(use_skipping=True)
         path = tmp_path / "snap.zip"
         save_snapshot(index, path)
-        with ReplicaPool(path, self.N_REPLICAS, mmap=True, validate=False) as pool:
-            yield index, pool, rng
+        with ExitStack() as stack:
+            replicas = [
+                stack.enter_context(ShardHost([path], mmap=True, validate=False))
+                for _ in range(self.N_REPLICAS)
+            ]
+            yield index, replicas, rng
 
     def test_ranges_and_counters_identical_across_processes(self, setup):
-        index, pool, rng = setup
+        index, replicas, rng = setup
         windows = _query_batch(rng)
         index.reset_counters()
-        pool.broadcast("reset")
+        _broadcast(replicas, "reset")
         rects = [Rect(*row) for row in windows.tolist()]
         expect = [r.as_arrays() for r in index.batch_range_query(rects)]
         expect_counters = dict(vars(index.counters))
-        replies = pool.broadcast("batch_range_rows", windows)
+        replies = _broadcast(replicas, "batch_range_rows", windows)
         assert len(replies) == self.N_REPLICAS
         for rows, delta, busy in replies:
             assert busy >= 0.0
@@ -72,35 +83,35 @@ class TestReplicaByteIdentity:
                 np.testing.assert_array_equal(ex, gx)
                 np.testing.assert_array_equal(ey, gy)
         # The replicas' cumulative counters agree with each other too.
-        counters = pool.broadcast("counters")
+        counters = _broadcast(replicas, "counters")
         assert all(c == expect_counters for c in counters)
 
     def test_knn_and_radius_identical_across_processes(self, setup):
-        index, pool, rng = setup
+        index, replicas, rng = setup
         centers = rng.uniform(0, 250, size=(10, 2))
         probes = [Point(float(x), float(y)) for x, y in centers]
         radius = index._default_radius()
         index.reset_counters()
-        pool.broadcast("reset")
+        _broadcast(replicas, "reset")
         expect = [r.as_arrays() for r in index.batch_knn(probes, 6, initial_radius=radius)]
         expect_counters = dict(vars(index.counters))
-        for rows, delta, _busy in pool.broadcast("batch_knn_rows", (centers, 6, radius)):
+        for rows, delta, _busy in _broadcast(replicas, "batch_knn_rows", (centers, 6, radius)):
             assert delta == expect_counters
             for (ex, ey), (gx, gy) in zip(expect, rows):
                 np.testing.assert_array_equal(ex, gx)
                 np.testing.assert_array_equal(ey, gy)
         expect_rad = [r.as_arrays() for r in index.batch_radius_query(probes, 9.0)]
-        for rows, _delta, _busy in pool.broadcast("batch_radius_rows", (centers, 9.0)):
+        for rows, _delta, _busy in _broadcast(replicas, "batch_radius_rows", (centers, 9.0)):
             for (ex, ey), (gx, gy) in zip(expect_rad, rows):
                 np.testing.assert_array_equal(ex, gx)
                 np.testing.assert_array_equal(ey, gy)
 
     def test_replicas_map_not_copy(self, setup):
-        _index, pool, _rng = setup
-        for info in pool.broadcast("column_info"):
+        _index, replicas, _rng = setup
+        for info in _broadcast(replicas, "column_info"):
             assert info["store"] == "MmapColumnStore"
             assert info["mapped"] and all(info["mapped"].values())
-        sizes = pool.broadcast("num_points")
+        sizes = _broadcast(replicas, "num_points")
         assert len(set(sizes)) == 1
 
 

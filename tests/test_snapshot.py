@@ -9,6 +9,7 @@ stored seed.  Plus: format-version negotiation fails friendly, and loaded
 indexes stay fully usable (updates, kNN, batch paths).
 """
 
+import dataclasses
 import json
 import zipfile
 
@@ -18,10 +19,11 @@ from hypothesis import given, settings, strategies as st
 
 from repro import build_index, build_or_load_index
 from repro.engine import INDEX_NAMES
-from repro.geometry import Point, Rect
+from repro.geometry import Point, Rect, points_to_arrays
 from repro.interfaces import brute_force_range
 from repro.persistence import (
     SNAPSHOT_FORMAT_VERSION,
+    BuildRecipe,
     SnapshotError,
     SnapshotFormatError,
     SnapshotVersionError,
@@ -29,6 +31,7 @@ from repro.persistence import (
     load_points_columns,
     load_queries_binary,
     load_snapshot,
+    read_manifest,
     save_points_binary,
     save_queries_binary,
     save_rebuild_snapshot,
@@ -463,6 +466,83 @@ class TestVersionNegotiation:
             load_snapshot(snapshot_path)
 
 
+def _rewrite_members(path, edit):
+    """Rewrite a snapshot container after ``edit(manifest, members)``."""
+    with zipfile.ZipFile(path, "r") as archive:
+        members = {name: archive.read(name) for name in archive.namelist()}
+    manifest = json.loads(members["manifest.json"].decode("utf-8"))
+    edit(manifest, members)
+    members["manifest.json"] = json.dumps(manifest).encode("utf-8")
+    with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
+        for name, payload in members.items():
+            archive.writestr(name, payload)
+
+
+class TestBuildRecipe:
+    def test_aliases_resolve_and_value_is_frozen(self):
+        recipe = BuildRecipe("WAZI_NOSK", [Rect(0, 0, 1, 1)], kwargs={"a": 1})
+        assert recipe.name == "wazi-sk"
+        assert recipe == BuildRecipe("wazi-sk", (Rect(0, 0, 1, 1),), kwargs={"a": 1})
+        assert isinstance(recipe.workload, tuple)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            recipe.seed = 5
+
+    def test_matches_only_its_own_request_and_dataset(self, uniform_points):
+        xs, ys = points_to_arrays(uniform_points)
+        recipe = BuildRecipe("base", [Rect(0.1, 0.1, 0.2, 0.2)], leaf_capacity=32, seed=3)
+        section = recipe.section(xs, ys)
+        assert recipe.matches(section, xs, ys)
+        assert not recipe.matches(dict(section, seed=4), xs, ys)
+        assert not recipe.matches(section, xs[:-1], ys[:-1])
+        assert not recipe.matches(section, ys, xs)
+        assert not recipe.matches(None, xs, ys)
+        assert not recipe.matches(["base"], xs, ys)
+
+    def test_adapted_section_matches_on_index_kwargs_and_dataset(self, uniform_points):
+        xs, ys = points_to_arrays(uniform_points)
+        adapted = BuildRecipe(
+            "wazi", [Rect(0.5, 0.5, 0.9, 0.9)], leaf_capacity=16, seed=9, adapted=True
+        ).section(xs, ys)
+        assert adapted["adapted"] is True
+        request = BuildRecipe("wazi", [Rect(0.0, 0.0, 0.1, 0.1)], leaf_capacity=64, seed=0)
+        assert request.matches(adapted, xs, ys)
+        assert not BuildRecipe("base").matches(adapted, xs, ys)
+        assert not BuildRecipe("wazi", kwargs={"x": 1}).matches(adapted, xs, ys)
+        assert not request.matches(adapted, xs[:-1], ys[:-1])
+
+    def test_unstorable_kwargs_record_no_build_section(self, uniform_points, tmp_path):
+        recipe = BuildRecipe("base", kwargs={"density": object()})
+        xs, ys = points_to_arrays(uniform_points)
+        assert recipe.section(xs, ys) is None
+        assert not recipe.matches({"name": "base"}, xs, ys)
+        path = tmp_path / "x.snapshot"
+        manifest = save_snapshot(build_index("base", uniform_points), path, recipe=recipe)
+        assert "build" not in manifest and "build" not in read_manifest(path)
+        assert len(load_snapshot(path)) == len(uniform_points)
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda m, a: m["build"].update(kwargs=[1, 2]), "not a mapping"),
+            (lambda m, a: m.update(build="base"), "malformed build section"),
+            (lambda m, a: a.pop("workload_rects.npy"), "workload_rects"),
+        ],
+        ids=["kwargs-list", "section-string", "no-workload-member"],
+    )
+    def test_malformed_build_section_fails_load(
+        self, uniform_points, tmp_path, edit, message
+    ):
+        path = tmp_path / "x.snapshot"
+        save_snapshot(
+            build_index("base", uniform_points[:200], leaf_capacity=16),
+            path,
+            recipe=BuildRecipe("base", leaf_capacity=16),
+        )
+        _rewrite_members(path, edit)
+        with pytest.raises(SnapshotFormatError, match=message):
+            load_snapshot(path)
+
+
 class TestRebuildSnapshot:
     def test_kwargs_must_be_json(self, uniform_points, tmp_path):
         with pytest.raises(TypeError, match="JSON"):
@@ -603,6 +683,51 @@ class TestBuildOrLoad:
         import repro.engine as engine
 
         assert not engine._snapshot_matches_request(path, "base", points, 16, 0)
+
+    def test_legacy_build_request_snapshot_loads_but_is_rebuilt(
+        self, clustered_points, small_workload, tmp_path, monkeypatch
+    ):
+        """Structural snapshots from before the shared ``build`` section
+        carry a ``build_request`` instead: they still load, and the helper
+        rebuilds them rather than serve a recipe it cannot verify."""
+        import repro.engine as engine
+        from repro.engine import SpatialEngine
+        from repro.persistence import read_manifest
+
+        points = clustered_points[:300]
+        queries = small_workload.queries[:5]
+        path = tmp_path / "legacy.snapshot"
+        save_snapshot(build_index("wazi", points, queries, leaf_capacity=32, seed=4), path)
+        with zipfile.ZipFile(path, "r") as archive:
+            members = {name: archive.read(name) for name in archive.namelist()}
+        manifest = json.loads(members["manifest.json"].decode("utf-8"))
+        manifest["build_request"] = {
+            "name": "wazi", "seed": 4, "num_queries": len(queries),
+            "workload_fingerprint": "0-5", "kwargs": {},
+        }
+        members["manifest.json"] = json.dumps(manifest).encode("utf-8")
+        with zipfile.ZipFile(path, "w", compression=zipfile.ZIP_STORED) as archive:
+            for name, payload in members.items():
+                archive.writestr(name, payload)
+
+        assert len(load_snapshot(path)) == len(points)
+        loaded = SpatialEngine.load(path)
+        assert (loaded._recipe.name, loaded._recipe.leaf_capacity) == ("wazi", 32)
+
+        calls = []
+        original = engine.build_index
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "build_index", counting)
+        build_or_load_index(
+            "wazi", points, queries, snapshot_path=path, leaf_capacity=32, seed=4
+        )
+        assert len(calls) == 1
+        rewritten = read_manifest(path)
+        assert "build_request" not in rewritten and rewritten["build"]["seed"] == 4
 
     def test_extra_kwargs_force_structural_rebuild(
         self, clustered_points, small_workload, tmp_path

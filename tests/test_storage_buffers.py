@@ -134,20 +134,6 @@ class TestMmapStore:
         with pytest.raises(ValueError):
             store["flat_x"][0] = 99.0
 
-    def test_open_sidecars(self, tmp_path):
-        from repro.persistence import extract_array_members
-
-        index = _small_index()
-        path = tmp_path / "snap.zip"
-        save_snapshot(index, path)
-        extracted = extract_array_members(path, tmp_path / "cols")
-        names = ("flat_x", "flat_y", "leaf_starts")
-        store = MmapColumnStore.open_sidecars(tmp_path / "cols", names)
-        for name in names:
-            assert store.is_mapped(name)
-        np.testing.assert_array_equal(store["flat_x"], index._flat_columns()[0])
-        assert set(extracted) >= set(names)
-
     def test_base_store_type_not_writable(self):
         store = ColumnStore({"a": np.zeros(2)})
         assert not store.writable
